@@ -31,6 +31,7 @@ from .protocols import (
     mps_area_schedule,
     mps_area_schedule_polynomial,
     plan_dimer_mps,
+    plan_for,
     plan_ghz,
     plan_transport,
     protocol_duration,

@@ -14,6 +14,7 @@ doubly-excited residue after the two transport pulses.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +23,8 @@ import scipy.optimize
 from .dynamics import HamiltonianSpec, InteractionRange, build_full_hamiltonian, ground_state_dense
 from .errors import NumericalError
 from .lattice import truncate_couplings
-from .protocols import (
-    HyperfinePolicy,
-    ProtocolKind,
-    plan_dimer_mps,
-    plan_ghz,
-    plan_transport,
-    protocol_duration,
-)
-from .statekit import RYDBERG, LevelScheme, basis_digits
+from .protocols import HyperfinePolicy, ProtocolKind, plan_for, protocol_duration
+from .statekit import RYDBERG, basis_digits
 from .targets import dimer_target_direct
 
 
@@ -188,7 +182,7 @@ def rk_ground_state_overlap(
     detuning = np.full(n_sites, point.delta)
     detuning[0] += v_nnn
     detuning[-1] += v_nnn
-    spec = HamiltonianSpec(base, detuning, InteractionRange.FULL)
+    spec = HamiltonianSpec(base, detuning)
     H = build_full_hamiltonian(spec, omega / 2.0)  # sigma_y coefficient = omega
     energy, gs = ground_state_dense(H)
     target = dimer_target_direct(n_sites, point.z)
@@ -251,24 +245,19 @@ def estimate_n_max(
     hyperfine_policy: HyperfinePolicy = HyperfinePolicy.INSTANTANEOUS,
     n_cap: int = 1000,
 ) -> int:
-    """Largest chain length whose full pulse sequence fits in tau_exp."""
+    """Largest chain length whose full pulse sequence fits in tau_exp.
+
+    Every plan of N+1 sites holds the pulses of the N-site plan plus more
+    (the dimer recursion runs from the chain end), so durations never
+    decrease with N and a bisection over 2..n_cap finds the answer.
+    """
     if v0 <= 0 or omega <= 0:
         raise ValueError("v0 and omega must be positive")
     if tau_exp < 0:
         raise ValueError("tau_exp must be nonnegative")
-    best = 1
-    for n in range(2, n_cap + 1):
-        if kind is ProtocolKind.GHZ3:
-            plan = plan_ghz(n, LevelScheme.THREE_LEVEL)
-        elif kind is ProtocolKind.GHZ2:
-            plan = plan_ghz(n, LevelScheme.TWO_LEVEL)
-        elif kind is ProtocolKind.DIMER_MPS:
-            plan = plan_dimer_mps(n, z if z is not None else 1.0)
-        elif kind is ProtocolKind.TRANSPORT:
-            plan = plan_transport(n, 1.0, 0.0)
-        else:
-            raise ValueError(f"unknown protocol kind {kind}")
-        if protocol_duration(plan, omega, hyperfine_policy) > tau_exp:
-            return best
-        best = n
-    return best
+    z = 1.0 if z is None else z
+
+    def duration(n: int) -> float:
+        return protocol_duration(plan_for(kind, n, z), omega, hyperfine_policy)
+
+    return 1 + bisect_right(range(2, n_cap + 1), tau_exp, key=duration)

@@ -125,7 +125,7 @@ def cmd_mps_areas(args) -> int:
         [f"{k + 1},{_fmt(th)}" for k, th in enumerate(chosen.thetas)],
     )
     print(f"wrote {out.with_suffix('.csv')}; methods agree within {disagreement:.3e}")
-    if disagreement > 1e-8:
+    if not disagreement <= 1e-8:  # a NaN disagreement fails too
         raise NumericalError(
             f"recursion and polynomial schedules disagree by {disagreement:.3e}"
         )

@@ -19,15 +19,15 @@ radius to be outside the Rydberg level; chain ends count as empty.
 
 The realistic backend evolves exactly under
 
-    H = 2 Omega sigma_y^(site) + sum_{k<m} V_km n_k n_m
+    H = 2 Omega sigma_y^(site) + sum_{k<m} V_km n_k n_m + sum_k Delta_k n_k
 
-for a time t = theta / (2 Omega), resonant drive, by splitting the
-Hamiltonian into closed 2x2 blocks: the two driven levels of the addressed
-atom against each frozen configuration of the others, whose interaction
-energy enters the block diagonal.  Undriven levels only accumulate their
-interaction phase.  The matrix element 2 Omega together with t = theta /
-(2 Omega) is the unique pairing that makes a free pulse a theta rotation
-and reproduces the closed-form two-atom amplitudes.
+for a time t = theta / (2 Omega) by splitting the Hamiltonian into closed
+2x2 blocks: the two driven levels of the addressed atom against each
+frozen configuration of the others, whose interaction and detuning energy
+(:func:`interaction_diagonal`) enters the block diagonal.  Undriven levels
+only accumulate their diagonal phase.  The matrix element 2 Omega together
+with t = theta / (2 Omega) is the unique pairing that makes a free pulse a
+theta rotation and reproduces the closed-form two-atom amplitudes.
 """
 
 from __future__ import annotations
@@ -68,50 +68,46 @@ class Transition(Enum):
         return LevelScheme.THREE_LEVEL if self is Transition.RYDBERG_HYPERFINE else None
 
 
-class PulseLabel(Enum):
-    PI = "pi"
-    HALF_PI = "half_pi"
-    LITERAL = "literal"
-
-
 @dataclass(frozen=True)
 class PulseStep:
     site: int
     transition: Transition
     theta: float
-    label: PulseLabel = PulseLabel.LITERAL
 
     def __post_init__(self):
         if self.site < 1:
             raise ValueError("site indices are 1-based")
-        if self.label is PulseLabel.PI and self.theta != PI_HALF:
-            raise ValueError("a named pi pulse has theta = pi/2")
-        if self.label is PulseLabel.HALF_PI and self.theta != PI_QUARTER:
-            raise ValueError("a named pi/2 pulse has theta = pi/4")
         if not -np.pi <= self.theta <= np.pi:
             raise ValueError("theta out of range [-pi, pi]")
 
 
 def pi_pulse(site: int, transition: Transition = Transition.GROUND_RYDBERG) -> PulseStep:
-    return PulseStep(site, transition, PI_HALF, PulseLabel.PI)
+    return PulseStep(site, transition, PI_HALF)
 
 
 def half_pi_pulse(site: int, transition: Transition = Transition.GROUND_RYDBERG) -> PulseStep:
-    return PulseStep(site, transition, PI_QUARTER, PulseLabel.HALF_PI)
+    return PulseStep(site, transition, PI_QUARTER)
 
 
 class InteractionRange(Enum):
+    """Coupling range of a sweep or solvable-point check.  The short range is
+    applied by masking couplings with :func:`rydchain.lattice.truncate_couplings`
+    (one shell in sweeps, two at the solvable point)."""
+
     FULL = "full"
     NEAREST_NEIGHBOR = "nn"
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Couplings, per-site detunings and the interaction-range toggle."""
+    """Couplings V_km and per-site detunings Delta_k of the diagonal part of H.
+
+    Every coupling is used as given; a shorter interaction range is
+    expressed by zeroing couplings before building the spec.
+    """
 
     couplings: np.ndarray
     detuning: np.ndarray = field(default=None)  # defaults to zeros
-    interaction_range: InteractionRange = InteractionRange.FULL
 
     def __post_init__(self):
         V = np.asarray(self.couplings, dtype=float)
@@ -127,13 +123,6 @@ class HamiltonianSpec:
     @property
     def n_sites(self) -> int:
         return len(self.couplings)
-
-    def effective_couplings(self) -> np.ndarray:
-        if self.interaction_range is InteractionRange.FULL:
-            return self.couplings
-        n = self.n_sites
-        sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        return np.where(sep == 1, self.couplings, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +156,12 @@ def _free_mask(n_sites: int, local_dim: int, site: int, lo: int, hi: int, radius
     return free
 
 
-def interaction_diagonal(n_sites: int, local_dim: int, couplings: np.ndarray) -> np.ndarray:
-    """Total pairwise interaction energy of every basis configuration."""
-    dig = basis_digits(n_sites, local_dim)
-    occ = (dig == RYDBERG).astype(float)
-    return 0.5 * np.einsum("ij,jk,ik->i", occ, couplings, occ)
+def interaction_diagonal(hamiltonian: HamiltonianSpec, local_dim: int) -> np.ndarray:
+    """Diagonal of H for every basis configuration: pairwise interaction
+    energy plus the detunings of the Rydberg-occupied sites."""
+    occ = (basis_digits(hamiltonian.n_sites, local_dim) == RYDBERG).astype(float)
+    pairs = 0.5 * np.einsum("ij,jk,ik->i", occ, hamiltonian.couplings, occ)
+    return pairs + occ @ hamiltonian.detuning
 
 
 def _require_scheme(state: StateVector, transition: Transition) -> None:
@@ -216,9 +206,7 @@ def apply_realistic_pulse(
     _require_scheme(state, step.transition)
     if hamiltonian.n_sites != state.n_sites:
         raise ValueError("Hamiltonian chain length does not match the state")
-    e_tot = interaction_diagonal(
-        state.n_sites, state.scheme.local_dim, hamiltonian.effective_couplings()
-    )
+    e_tot = interaction_diagonal(hamiltonian, state.scheme.local_dim)
     new = _pulse_on_array(
         state.amplitudes, state.n_sites, state.scheme.local_dim, step, e_tot, omega
     )
@@ -230,7 +218,7 @@ def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
     t = abs(step.theta) / (2.0 * omega)
     drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
     sel_lo, sel_hi = _pair_indices(n_sites, local_dim, step.site, lo, hi)
-    # undriven levels of the addressed atom keep their interaction phase
+    # undriven levels of the addressed atom keep their diagonal phase
     new = amp * np.exp(-1j * e_tot * t)
     d_lo, d_hi = e_tot[sel_lo], e_tot[sel_hi]
     avg = 0.5 * (d_lo + d_hi)
@@ -263,10 +251,7 @@ def build_full_hamiltonian(hamiltonian: HamiltonianSpec, omega_per_site) -> np.n
         raise CapacityError(f"dense Hamiltonian limited to {MAX_DENSE_SITES} sites")
     omegas = np.broadcast_to(np.asarray(omega_per_site, dtype=float), (n,))
     dig = basis_digits(n, 2)
-    occ = (dig == RYDBERG).astype(float)
-    diag = interaction_diagonal(n, 2, hamiltonian.effective_couplings())
-    diag = diag + occ @ hamiltonian.detuning
-    H = np.diag(diag).astype(np.complex128)
+    H = np.diag(interaction_diagonal(hamiltonian, 2)).astype(np.complex128)
     for k in range(n):
         stride = 2 ** (n - 1 - k)
         sel = np.where(dig[:, k] == GROUND)[0]
@@ -275,14 +260,12 @@ def build_full_hamiltonian(hamiltonian: HamiltonianSpec, omega_per_site) -> np.n
     return H
 
 
-def build_effective_hamiltonian(
-    n_sites: int, omega_per_site, include_nnn: bool = False, v0: float = 0.0
-) -> np.ndarray:
+def build_effective_hamiltonian(n_sites: int, omega_per_site) -> np.ndarray:
     """Blockade-constrained drive sum_k omega_k P_{k-1} sigma_y^(k) P_{k+1}.
 
-    With ``include_nnn`` the next-nearest-neighbor tail (v0/64) sum n_k n_{k+2}
-    is kept on the diagonal.  Here the sigma_y coefficient is omega_k itself,
-    so exp(-i t H) on a single driven site is a rotation by theta = omega*t.
+    Dense oracle for :func:`apply_ideal_gate`.  Here the sigma_y coefficient
+    is omega_k itself, so exp(-i t H) on a single driven site is a rotation
+    by theta = omega*t.
     """
     if n_sites > MAX_DENSE_SITES:
         raise CapacityError(f"dense Hamiltonian limited to {MAX_DENSE_SITES} sites")
@@ -300,10 +283,6 @@ def build_effective_hamiltonian(
         sel = sel[free]
         H[sel + stride, sel] += 1j * omegas[k]
         H[sel, sel + stride] += -1j * omegas[k]
-    if include_nnn:
-        occ = dig == RYDBERG
-        pairs = (occ[:, :-2] & occ[:, 2:]).sum(axis=1)
-        H[np.diag_indices(dim)] += (v0 / 64.0) * pairs
     return H
 
 

@@ -1,8 +1,8 @@
 """Chain geometry, Gaussian positional disorder and van der Waals couplings.
 
 Units: lengths in micrometers, energies and Rabi frequencies as angular
-frequencies in rad/us.  Values quoted as "2 pi x MHz" convert via
-:func:`from_two_pi_mhz` on input so no 2 pi floats around the core.
+frequencies in rad/us.  A value quoted as "2 pi x f MHz" enters as
+2 * pi * f (see :data:`V0_REFERENCE`), so no 2 pi floats around the core.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ R0_DEFAULT = 4.1
 V0_REFERENCE = 2 * np.pi * 8.4
 
 
-def from_two_pi_mhz(f_mhz: float) -> float:
-    """Convert a '2 pi x f MHz' quote to rad/us."""
-    return 2 * np.pi * f_mhz
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     n_sites: int
@@ -38,11 +33,6 @@ class LatticeSpec:
             raise ValueError("spacing_r0 must be positive")
         if self.v0 < 0:
             raise ValueError("v0 must be nonnegative")
-
-    @property
-    def c6(self) -> float:
-        """Dispersion coefficient implied by v0 and the spacing (rad/us * um^6)."""
-        return self.v0 * self.spacing_r0**6
 
 
 @dataclass(frozen=True)

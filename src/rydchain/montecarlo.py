@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +27,10 @@ from .lattice import (
     ideal_configuration,
     realization_seed,
     sample_configuration,
+    truncate_couplings,
 )
-from .protocols import (
-    ProtocolKind,
-    ProtocolPlan,
-    RealisticBackend,
-    execute,
-    plan_dimer_mps,
-    plan_ghz,
-    plan_transport,
-)
-from .statekit import LevelScheme, StateVector, reduce_to_site
+from .protocols import ProtocolKind, ProtocolPlan, RealisticBackend, execute, plan_for
+from .statekit import StateVector, reduce_to_site
 from .targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure, ghz_target
 
 WORKERS_ENV = "RYDCHAIN_WORKERS"
@@ -82,18 +75,6 @@ class SweepRecord:
     fid_max: float
 
 
-def _plan_for(spec: SweepSpec, n: int) -> ProtocolPlan:
-    if spec.protocol is ProtocolKind.GHZ2:
-        return plan_ghz(n, LevelScheme.TWO_LEVEL)
-    if spec.protocol is ProtocolKind.GHZ3:
-        return plan_ghz(n, LevelScheme.THREE_LEVEL)
-    if spec.protocol is ProtocolKind.DIMER_MPS:
-        return plan_dimer_mps(n, spec.z, spec.blockade_range)
-    if spec.protocol is ProtocolKind.TRANSPORT:
-        return plan_transport(n, spec.alpha, spec.beta)
-    raise ValueError(f"unknown protocol {spec.protocol}")
-
-
 def _target_state(spec: SweepSpec, plan: ProtocolPlan) -> StateVector | None:
     if spec.protocol is ProtocolKind.TRANSPORT:
         return None  # compared through the reduced final-site state
@@ -118,30 +99,20 @@ def _one_realization(
         seed = realization_seed(spec.master_seed, n, grid_index, realization_index)
         config = sample_configuration(lattice, spec.disorder, seed)
     couplings = coupling_matrix(config, ratio, spec.spacing_r0)
-    ham = HamiltonianSpec(couplings, interaction_range=spec.interaction_range)
-    final = execute(plan, RealisticBackend(ham, omega=1.0))
+    if spec.interaction_range is InteractionRange.NEAREST_NEIGHBOR:
+        couplings = truncate_couplings(couplings, 1)
+    final = execute(plan, RealisticBackend(HamiltonianSpec(couplings), omega=1.0))
     if target is None:
         rho = reduce_to_site(final, plan.n_sites)
         return fidelity_mixed_single_qubit(np.array([spec.alpha, spec.beta]), rho)
     return fidelity_pure(target, final)
 
 
-def realization_fidelity(
-    spec: SweepSpec, n: int, grid_index: int, realization_index: int
-) -> float:
-    """Fidelity of one quenched disorder realization (deterministic in its indices)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
-        plan = _plan_for(spec, n)
-        target = _target_state(spec, plan)
-        return _one_realization(spec, n, grid_index, realization_index, plan, target)
-
-
 def _cell(spec: SweepSpec, n: int, grid_index: int) -> SweepRecord:
     reps = 1 if spec.disorder.is_none else spec.realizations
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
-        plan = _plan_for(spec, n)
+        plan = plan_for(spec.protocol, n, spec.z, spec.blockade_range, spec.alpha, spec.beta)
         target = _target_state(spec, plan)
         values = np.array(
             [_one_realization(spec, n, grid_index, i, plan, target) for i in range(reps)]
@@ -199,8 +170,3 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRecord]:
                 )
             records.append(rec)
     return records
-
-
-def with_disorder(spec: SweepSpec, preset: str) -> SweepSpec:
-    """Copy of ``spec`` with the named disorder preset."""
-    return replace(spec, disorder=disorder_preset(preset))

@@ -25,7 +25,6 @@ import numpy as np
 
 from .dynamics import (
     HamiltonianSpec,
-    PulseLabel,
     PulseStep,
     Transition,
     _ideal_on_array,
@@ -162,11 +161,14 @@ def mps_area_schedule_polynomial(n_sites: int, z: float, blockade_range: int = 1
         A = np.linalg.solve(M, np.ones(r + 1))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"degenerate recursion roots: {exc}") from exc
+    # q_k / top^k: the positive real root dominates all others, so the
+    # scaled powers stay bounded where lam^k itself would overflow
+    top = np.abs(lam).max()
     ks = np.arange(0, n_sites + 1)
-    q = (A[None, :] * lam[None, :] ** ks[:, None]).sum(axis=1)
+    q = (A[None, :] * (lam[None, :] / top) ** ks[:, None]).sum(axis=1)
     if np.abs(q.imag).max() > 1e-8 * np.abs(q.real).max():
         raise NumericalError(f"recursion solution not real, residual {np.abs(q.imag).max():.2e}")
-    x = q.real[:-1] / q.real[1:]  # cos^2 A_{N+1-k} for k = 1..N
+    x = q.real[:-1] / (top * q.real[1:])  # cos^2 A_{N+1-k} for k = 1..N
     x = np.clip(x, 0.0, 1.0)
     thetas = np.sign(z) * np.arccos(np.sqrt(x[::-1]))
     return AreaSchedule(thetas, z, r)
@@ -175,7 +177,7 @@ def mps_area_schedule_polynomial(n_sites: int, z: float, blockade_range: int = 1
 def plan_dimer_mps(n_sites: int, z: float, blockade_range: int = 1) -> ProtocolPlan:
     schedule = mps_area_schedule(n_sites, z, blockade_range)
     steps = tuple(
-        PulseStep(k + 1, Transition.GROUND_RYDBERG, float(th), PulseLabel.LITERAL)
+        PulseStep(k + 1, Transition.GROUND_RYDBERG, float(th))
         for k, th in enumerate(schedule.thetas)
     )
     return ProtocolPlan(
@@ -211,6 +213,27 @@ def plan_transport(n_sites: int, alpha: complex, beta: complex) -> ProtocolPlan:
         alpha=complex(alpha),
         beta=complex(beta),
     )
+
+
+def plan_for(
+    kind: ProtocolKind,
+    n_sites: int,
+    z: float = 1.0,
+    blockade_range: int = 1,
+    alpha: complex = 2**-0.5,
+    beta: complex = 2**-0.5,
+) -> ProtocolPlan:
+    """The plan of ``kind`` on ``n_sites``; z and blockade_range shape the
+    dimer plan, alpha and beta the transported qubit."""
+    if kind is ProtocolKind.GHZ2:
+        return plan_ghz(n_sites, LevelScheme.TWO_LEVEL)
+    if kind is ProtocolKind.GHZ3:
+        return plan_ghz(n_sites, LevelScheme.THREE_LEVEL)
+    if kind is ProtocolKind.DIMER_MPS:
+        return plan_dimer_mps(n_sites, z, blockade_range)
+    if kind is ProtocolKind.TRANSPORT:
+        return plan_transport(n_sites, alpha, beta)
+    raise ValueError(f"unknown protocol kind {kind}")
 
 
 def initial_state(plan: ProtocolPlan) -> StateVector:
@@ -253,13 +276,13 @@ def execute(plan: ProtocolPlan, backend, initial: StateVector | None = None) -> 
     elif isinstance(backend, RealisticBackend):
         if backend.hamiltonian.n_sites != n:
             raise ValueError("backend Hamiltonian does not match the plan")
-        e_tot = interaction_diagonal(n, dim, backend.hamiltonian.effective_couplings())
+        e_tot = interaction_diagonal(backend.hamiltonian, dim)
         for step in plan.steps:
             amp = _pulse_on_array(amp, n, dim, step, e_tot, backend.omega)
     else:
         raise TypeError(f"unknown backend {backend!r}")
     for post in plan.post_steps:
-        step = PulseStep(post.site, post.transition, post.theta, PulseLabel.LITERAL)
+        step = PulseStep(post.site, post.transition, post.theta)
         amp = _ideal_on_array(amp, n, dim, step, radius=0)
         amp = amp * 1j ** (post.phase_quarter_turns % 4)
     return check_norm(StateVector(n, plan.scheme, amp))
@@ -292,45 +315,3 @@ def protocol_duration(
         elif hyperfine_policy is HyperfinePolicy.SAME_AS_OMEGA:
             total += abs(step.theta) / (2.0 * omega)
     return total
-
-
-# ---------------------------------------------------------------------------
-# line-based serialization (exact decimal round-trip)
-
-def plan_to_text(plan: ProtocolPlan) -> str:
-    """One line per step: "site transition theta"; post gates carry a phase power."""
-    lines = [
-        f"{s.site} {s.transition.value} {s.theta!r}" for s in plan.steps
-    ]
-    lines += [
-        f"post {p.site} {p.transition.value} {p.theta!r} {p.phase_quarter_turns}"
-        for p in plan.post_steps
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def plan_from_text(
-    text: str,
-    kind: ProtocolKind,
-    n_sites: int,
-    scheme: LevelScheme,
-    **params,
-) -> ProtocolPlan:
-    steps, posts = [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        parts = raw.split()
-        try:
-            if parts[0] == "post":
-                posts.append(
-                    PostStep(int(parts[1]), Transition(parts[2]), float(parts[3]), int(parts[4]))
-                )
-            else:
-                steps.append(
-                    PulseStep(int(parts[0]), Transition(parts[1]), float(parts[2]))
-                )
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"bad plan line {ln}: {raw!r} ({exc})") from exc
-    return ProtocolPlan(kind, n_sites, scheme, tuple(steps), tuple(posts), **params)

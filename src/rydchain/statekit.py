@@ -87,16 +87,6 @@ def encode_occupations(occupations, local_dim: int) -> int:
     return idx
 
 
-def decode_index(index: int, n_sites: int, local_dim: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode_occupations`."""
-    if not 0 <= index < local_dim**n_sites:
-        raise IndexError(f"basis index {index} out of range")
-    occ = []
-    for k in range(n_sites):
-        occ.append(index // local_dim ** (n_sites - 1 - k) % local_dim)
-    return tuple(occ)
-
-
 def ground_state(n_sites: int, scheme: LevelScheme) -> StateVector:
     """|00...0> on ``n_sites`` atoms."""
     if n_sites < 1:

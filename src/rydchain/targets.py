@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .statekit import (
@@ -54,47 +52,25 @@ def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> Stat
     return StateVector(n_sites, LevelScheme.TWO_LEVEL, amp)
 
 
-@dataclass(frozen=True)
-class MpsTensors:
-    """Bond-dimension-2 product form of the range-1 dimer state.
+def dimer_target_mps(n_sites: int, z: float) -> StateVector:
+    """Range-1 dimer state built by contracting the bond-2 tensor chain.
 
     X0 = (1 - n) + z*sigma_minus and X1 = sigma_plus on the bond space;
     contracting l . X_{i_1} ... X_{i_N} . r gives amplitude z^n on allowed
     configurations and an exact zero whenever two excitations are adjacent.
     The boundary vectors l = (1, z) and r = (1, 0)^T seed and close the
-    chain so that the first and last atoms may both be excited.
+    chain so that the first and last atoms may both be excited.  A per-index
+    loop over 2^N, kept as the independent check of :func:`dimer_target_direct`.
     """
-
-    z: float
-
-    @property
-    def x0(self) -> np.ndarray:
-        return np.array([[1.0, self.z], [0.0, 0.0]])
-
-    @property
-    def x1(self) -> np.ndarray:
-        return np.array([[0.0, 0.0], [1.0, 0.0]])
-
-    @property
-    def left(self) -> np.ndarray:
-        return np.array([1.0, self.z])
-
-    @property
-    def right(self) -> np.ndarray:
-        return np.array([1.0, 0.0])
-
-
-def dimer_target_mps(n_sites: int, z: float) -> StateVector:
-    """Range-1 dimer state built by contracting the bond-2 tensor chain."""
-    tensors = MpsTensors(z)
-    x = (tensors.x0, tensors.x1)
+    x = (np.array([[1.0, z], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    left, right = np.array([1.0, z]), np.array([1.0, 0.0])
     dig = basis_digits(n_sites, 2)
     amp = np.empty(2**n_sites, dtype=np.complex128)
     for idx, occ in enumerate(dig):
-        vec = tensors.right
+        vec = right
         for i in occ[::-1]:
             vec = x[i] @ vec
-        amp[idx] = tensors.left @ vec
+        amp[idx] = left @ vec
     norm = np.linalg.norm(amp)
     amp /= norm
     return StateVector(n_sites, LevelScheme.TWO_LEVEL, amp)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rydchain.dynamics import HamiltonianSpec, InteractionRange
+from rydchain.lattice import truncate_couplings
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -27,7 +28,10 @@ def chain_couplings(n: int, v0: float) -> np.ndarray:
 
 
 def chain_hamiltonian(n: int, v0: float, rng=InteractionRange.FULL) -> HamiltonianSpec:
-    return HamiltonianSpec(chain_couplings(n, v0), interaction_range=rng)
+    V = chain_couplings(n, v0)
+    if rng is InteractionRange.NEAREST_NEIGHBOR:
+        V = truncate_couplings(V, 1)
+    return HamiltonianSpec(V)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ reported reference values at fixed tolerances; the assertion messages
 carry the computed numbers.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -22,7 +23,7 @@ from rydchain.analytics import (
 )
 from rydchain.dynamics import InteractionRange
 from rydchain.lattice import V0_REFERENCE, disorder_preset
-from rydchain.montecarlo import SweepSpec, run_sweep, with_disorder
+from rydchain.montecarlo import SweepSpec, run_sweep
 from rydchain.protocols import (
     IdealBackend,
     ProtocolKind,
@@ -217,7 +218,7 @@ def disorder_sweeps():
     }
     for proto, base in bases.items():
         for disorder in ("none", "iso", "aniso"):
-            for rec in run_sweep(with_disorder(base, disorder)):
+            for rec in run_sweep(dataclasses.replace(base, disorder=disorder)):
                 data[(proto, rec.v0_over_omega, disorder, rec.n)] = (
                     rec.mean_fidelity, rec.std_error
                 )

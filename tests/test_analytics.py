@@ -15,6 +15,7 @@ from rydchain.analytics import (
 )
 from rydchain.dynamics import InteractionRange
 from rydchain.protocols import (
+    HyperfinePolicy,
     ProtocolKind,
     RealisticBackend,
     execute,
@@ -184,26 +185,38 @@ class TestNMax:
 
     def test_matches_exhaustive_scan(self):
         v0, omega, tau = 52.78, 7.649, 2.0
-        for kind, z in (
-            (ProtocolKind.TRANSPORT, None),
-            (ProtocolKind.GHZ3, None),
-            (ProtocolKind.DIMER_MPS, 1.0),
-            (ProtocolKind.DIMER_MPS, 10.0),
+        instant, same = HyperfinePolicy.INSTANTANEOUS, HyperfinePolicy.SAME_AS_OMEGA
+        for kind, z, policy in (
+            (ProtocolKind.TRANSPORT, None, instant),
+            (ProtocolKind.GHZ3, None, instant),
+            (ProtocolKind.GHZ3, None, same),
+            (ProtocolKind.GHZ2, None, instant),
+            (ProtocolKind.DIMER_MPS, 1.0, instant),
+            (ProtocolKind.DIMER_MPS, 10.0, instant),
         ):
-            n_max = estimate_n_max(kind, v0, omega, tau, z=z)
-            assert n_max >= 2
-
             def duration(n):
                 if kind is ProtocolKind.TRANSPORT:
                     plan = plan_transport(n, 1.0, 0.0)
                 elif kind is ProtocolKind.GHZ3:
                     plan = plan_ghz(n, LevelScheme.THREE_LEVEL)
+                elif kind is ProtocolKind.GHZ2:
+                    plan = plan_ghz(n, LevelScheme.TWO_LEVEL)
                 else:
                     plan = plan_dimer_mps(n, z)
-                return protocol_duration(plan, omega)
+                return protocol_duration(plan, omega, policy)
 
-            assert duration(n_max) <= tau
-            assert duration(n_max + 1) > tau
+            def n_max(budget):
+                return estimate_n_max(kind, v0, omega, budget, z=z, hyperfine_policy=policy)
+
+            scan = max(n for n in range(1, 200) if n == 1 or duration(n) <= tau)
+            assert n_max(tau) == scan >= 2
+            assert duration(scan) <= tau < duration(scan + 1)
+            # a budget exactly equal to a chain's duration admits that chain
+            for n in (2, 3, scan):
+                assert n_max(duration(n)) == n
+        # all dimer angles vanish at z = 0, so every length up to the cap fits
+        assert estimate_n_max(ProtocolKind.DIMER_MPS, v0, omega, 0.0, z=0.0) == 1000
+        assert estimate_n_max(ProtocolKind.DIMER_MPS, v0, omega, tau, z=0.0, n_cap=37) == 37
 
     def test_faster_drive_never_shrinks_reach(self):
         v0 = 52.78

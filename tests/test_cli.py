@@ -121,6 +121,14 @@ class TestMpsAreasCommand:
         manifest = out.with_suffix(".manifest.txt").read_text()
         assert "cross_method_disagreement=" in manifest
 
+    def test_long_chain_large_z_methods_agree(self, tmp_path):
+        out = tmp_path / "areas"
+        assert run_cli("mps-areas", "--n", "320", "--z", "10", "--out", str(out)) == 0
+        manifest = out.with_suffix(".manifest.txt").read_text().splitlines()
+        fields = dict(line.split("=", 1) for line in manifest)
+        disagreement = float(fields["cross_method_disagreement"])
+        assert np.isfinite(disagreement) and disagreement <= 1e-8
+
 
 class TestFitCommand:
     def test_fit_output(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ from rydchain.lattice import (
     LatticeSpec,
     coupling_matrix,
     disorder_preset,
-    from_two_pi_mhz,
     ideal_configuration,
     realization_seed,
     sample_configuration,
@@ -40,10 +39,6 @@ class TestLatticeSpec:
             LatticeSpec(2, -1.0, 1.0)
         with pytest.raises(ValueError):
             LatticeSpec(2, 1.0, -1.0)
-
-    def test_c6_consistency(self):
-        spec = LatticeSpec(2, 4.1, from_two_pi_mhz(8.4))
-        assert spec.c6 == pytest.approx(spec.v0 * 4.1**6)
 
 
 class TestDisorder:

@@ -3,7 +3,7 @@ import pytest
 
 from rydchain.analytics import ghz_fidelity_two_atoms
 from rydchain.lattice import DisorderSpec, disorder_preset
-from rydchain.montecarlo import SweepSpec, realization_fidelity, run_sweep
+from rydchain.montecarlo import SweepSpec, run_sweep
 from rydchain.protocols import ProtocolKind
 
 
@@ -21,23 +21,25 @@ def make_spec(**kw):
 
 
 class TestRealizationFidelity:
+    """Single realizations, read off sweeps of one or two realizations per cell."""
+
     def test_deterministic(self):
-        spec = make_spec(disorder=disorder_preset("iso"))
-        a = realization_fidelity(spec, 2, 0, 5)
-        b = realization_fidelity(spec, 2, 0, 5)
-        assert a == b
-        assert a != realization_fidelity(spec, 2, 0, 6)
+        one = run_sweep(make_spec(disorder=disorder_preset("iso"), realizations=1))[0]
+        two = run_sweep(make_spec(disorder=disorder_preset("iso"), realizations=2))[0]
+        assert run_sweep(make_spec(disorder=disorder_preset("iso"), realizations=2))[0] == two
+        # realization 0 draws the same configuration whatever the cell size
+        assert one.mean_fidelity in (two.fid_min, two.fid_max)
+        assert two.fid_min != two.fid_max
 
     def test_no_disorder_equals_protocol_fidelity(self):
-        spec = make_spec()
-        f = realization_fidelity(spec, 2, 0, 0)
+        f = run_sweep(make_spec(realizations=1))[0].mean_fidelity
         assert f == pytest.approx(ghz_fidelity_two_atoms(6.9, 1.0), abs=1e-10)
 
     def test_vanishing_disorder_continuity(self):
-        tiny = make_spec(disorder=DisorderSpec((1e-9, 1e-9, 1e-9)))
-        none = make_spec()
-        f_tiny = realization_fidelity(tiny, 2, 0, 0)
-        f_none = realization_fidelity(none, 2, 0, 0)
+        tiny = make_spec(disorder=DisorderSpec((1e-9, 1e-9, 1e-9)), realizations=1)
+        none = make_spec(realizations=1)
+        f_tiny = run_sweep(tiny)[0].mean_fidelity
+        f_none = run_sweep(none)[0].mean_fidelity
         assert abs(f_tiny - f_none) < 1e-6
 
 

@@ -1,8 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, random_state
-from rydchain.dynamics import InteractionRange, PulseLabel, Transition
+from rydchain.dynamics import (
+    HamiltonianSpec,
+    InteractionRange,
+    PulseStep,
+    Transition,
+    build_full_hamiltonian,
+)
 from rydchain.protocols import (
     HyperfinePolicy,
     IdealBackend,
@@ -13,9 +22,8 @@ from rydchain.protocols import (
     mps_area_schedule,
     mps_area_schedule_polynomial,
     plan_dimer_mps,
-    plan_from_text,
+    plan_for,
     plan_ghz,
-    plan_to_text,
     plan_transport,
     protocol_duration,
 )
@@ -24,6 +32,7 @@ from rydchain.statekit import (
     LevelScheme,
     basis_digits,
     embed_initial_qubit,
+    from_amplitudes,
     reduce_to_site,
 )
 from rydchain.targets import (
@@ -56,8 +65,8 @@ class TestPlanGhz:
     def test_two_level_four_sites(self):
         plan = plan_ghz(4, TWO)
         assert len(plan.steps) == 4
-        assert plan.steps[0].label is PulseLabel.HALF_PI
-        assert all(s.label is PulseLabel.PI for s in plan.steps[1:])
+        assert plan.steps[0].theta == np.pi / 4
+        assert all(s.theta == np.pi / 2 for s in plan.steps[1:])
         assert [s.site for s in plan.steps] == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -111,10 +120,16 @@ class TestAreaSchedule:
         if z:
             assert np.all(np.sign(np.sin(sched.thetas)) == np.sign(z))
 
-    @pytest.mark.parametrize("z", [0.1, 1.0, 10.0])
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    @pytest.mark.parametrize("n", [3, 7, 12])
-    def test_polynomial_method_agrees(self, n, z, r):
+    @pytest.mark.parametrize("n,r,z", [
+        (n, r, z)
+        for n, z in itertools.chain(
+            itertools.product([3, 7, 12], [0.1, 1.0, 10.0]),
+            # large N*|z|: the raw root powers overflow without rescaling
+            [(320, 10.0), (1000, 30.0), (1000, -3.0)],
+        )
+        for r in [1, 2, 3]
+    ])
+    def test_polynomial_method_agrees(self, n, r, z):
         a = mps_area_schedule(n, z, r)
         b = mps_area_schedule_polynomial(n, z, r)
         assert np.abs(a.thetas - b.thetas).max() < 1e-8
@@ -212,7 +227,34 @@ class TestTransportPlan:
             plan_transport(3, 1.0, 0.5)
 
 
+class TestPlanFor:
+    def test_dispatch_matches_plan_functions(self):
+        assert plan_for(ProtocolKind.GHZ2, 4) == plan_ghz(4, TWO)
+        assert plan_for(ProtocolKind.GHZ3, 3) == plan_ghz(3, THREE)
+        assert plan_for(ProtocolKind.DIMER_MPS, 5, z=-2.3, blockade_range=2) == plan_dimer_mps(
+            5, -2.3, 2
+        )
+        assert plan_for(ProtocolKind.TRANSPORT, 4, alpha=0.6, beta=0.8) == plan_transport(
+            4, 0.6, 0.8
+        )
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            plan_for("ghz4", 4)
+
+
 class TestExecute:
+    def test_realistic_backend_honours_detuning(self, rng):
+        theta = 1.234
+        ham = HamiltonianSpec(chain_hamiltonian(3, 3.7).couplings, [0.9, -1.7, 2.3])
+        step = PulseStep(2, Transition.GROUND_RYDBERG, theta)
+        plan = ProtocolPlan(ProtocolKind.GHZ2, 3, TWO, (step,))
+        init = from_amplitudes(3, TWO, random_state(rng, 8))
+        H = build_full_hamiltonian(ham, [0.0, 1.0, 0.0])
+        dense = expm(-1j * H * theta / 2.0) @ init.amplitudes
+        out = execute(plan, RealisticBackend(ham, 1.0), initial=init)
+        assert np.abs(out.amplitudes - dense).max() < 1e-9
+
     def test_empty_plan_returns_input(self, rng):
         plan = ProtocolPlan(ProtocolKind.TRANSPORT, 2, TWO, (), alpha=1.0, beta=0.0)
         init = embed_initial_qubit(0.6, 0.8, 2)
@@ -292,28 +334,3 @@ class TestDuration:
         with pytest.raises(ValueError):
             protocol_duration(plan_ghz(2, TWO), 0.0)
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("make_plan", [
-        lambda: plan_ghz(3, TWO),
-        lambda: plan_ghz(4, THREE),
-        lambda: plan_dimer_mps(5, -2.3),
-        lambda: plan_transport(4, 0.6, 0.8),
-    ])
-    def test_round_trip_exact(self, make_plan):
-        plan = make_plan()
-        text = plan_to_text(plan)
-        back = plan_from_text(
-            text, plan.kind, plan.n_sites, plan.scheme,
-            z=plan.z, blockade_range=plan.blockade_range,
-            alpha=plan.alpha, beta=plan.beta,
-        )
-        assert len(back.steps) == len(plan.steps)
-        for a, b in zip(back.steps, plan.steps):
-            assert (a.site, a.transition) == (b.site, b.transition)
-            assert a.theta == b.theta  # bit-exact decimals
-        assert back.post_steps == plan.post_steps
-
-    def test_bad_line_reports_number(self):
-        with pytest.raises(ValueError, match="line 2"):
-            plan_from_text("1 01 0.5\n1 01 oops\n", ProtocolKind.GHZ2, 2, TWO)

@@ -9,7 +9,6 @@ from rydchain.statekit import (
     LevelScheme,
     StateVector,
     basis_digits,
-    decode_index,
     embed_initial_qubit,
     encode_occupations,
     from_amplitudes,
@@ -171,8 +170,7 @@ class TestBasisIndexing:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_round_trip_exhaustive(self, scheme, n):
         d = scheme.local_dim
-        for idx in range(d**n):
-            occ = decode_index(idx, n, d)
+        for idx, occ in enumerate(basis_digits(n, d)):
             assert encode_occupations(occ, d) == idx
 
     def test_site_one_most_significant(self):
@@ -180,10 +178,6 @@ class TestBasisIndexing:
         assert encode_occupations((1, 0), 2) == 2
         dig = basis_digits(2, 2)
         assert list(dig[2]) == [1, 0]
-
-    def test_decode_out_of_range(self):
-        with pytest.raises(IndexError):
-            decode_index(4, 2, 2)
 
 
 def test_statevector_shape_validation():

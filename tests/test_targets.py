@@ -6,7 +6,6 @@ from rydchain.analytics import transport_two_atom_amplitudes
 from rydchain.protocols import RealisticBackend, execute, plan_transport
 from rydchain.statekit import LevelScheme, basis_digits, from_amplitudes, reduce_to_site
 from rydchain.targets import (
-    MpsTensors,
     dimer_target_direct,
     dimer_target_mps,
     fidelity_mixed_single_qubit,
@@ -103,11 +102,6 @@ class TestDimerMps:
         a = dimer_target_mps(n, z)
         b = dimer_target_direct(n, z)
         assert np.abs(a.amplitudes - b.amplitudes).max() <= 1e-12
-
-    def test_tensor_form(self):
-        t = MpsTensors(2.0)
-        assert np.array_equal(t.x0, [[1, 2], [0, 0]])  # (1-n) + z sigma_minus
-        assert np.array_equal(t.x1, [[0, 0], [1, 0]])  # sigma_plus
 
 
 class TestFidelityPure:

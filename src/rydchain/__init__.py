@@ -17,7 +17,6 @@ from .errors import CapacityError, GeometryError, NumericalError
 from .lattice import (
     DISORDER_PRESETS,
     DisorderSpec,
-    LatticeSpec,
     coupling_matrix,
     ideal_configuration,
     sample_configuration,

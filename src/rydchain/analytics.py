@@ -187,7 +187,7 @@ def rk_ground_state_overlap(
     energy, gs = ground_state_dense(H)
     target = dimer_target_direct(n_sites, point.z)
     n_exc = (basis_digits(n_sites, 2) == RYDBERG).sum(axis=1)
-    aligned = (-1j) ** n_exc * gs.amplitudes
+    aligned = (-1j) ** n_exc * gs
     overlap = float(abs(np.vdot(target.amplitudes, aligned)) ** 2)
     return RkOverlapResult(point.delta, point.z, energy, overlap)
 
@@ -246,6 +246,9 @@ def estimate_n_max(
     n_cap: int = 1000,
 ) -> int:
     """Largest chain length whose full pulse sequence fits in tau_exp.
+
+    Pulse durations depend on ``omega`` alone: ``v0`` is only checked to be
+    positive and does not enter the result.
 
     Every plan of N+1 sites holds the pulses of the N-site plan plus more
     (the dimer recursion runs from the chain end), so durations never

@@ -5,7 +5,8 @@ records the command, all parameters, the seed and the package version, so
 the CSV body can be reproduced byte for byte.  Floats are printed with
 ``repr``, the shortest round-trip decimal form.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 capacity.
+Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 capacity (a
+sweep exits 4 after writing its CSV when any cell was over the limit).
 """
 
 from __future__ import annotations
@@ -31,14 +32,11 @@ from .protocols import (
 
 SWEEP_HEADER = "protocol,N,v0_over_omega,disorder,realizations,mean_fidelity,std_error,min,max"
 
-_PROTOCOLS = {
-    "ghz2": ProtocolKind.GHZ2,
-    "ghz3": ProtocolKind.GHZ3,
-    "mps": ProtocolKind.DIMER_MPS,
-    "transport": ProtocolKind.TRANSPORT,
+#: sweep flags that shape one protocol's plan, by flag name and argparse dest
+_SHAPE_FLAGS = {
+    ProtocolKind.DIMER_MPS: {"--z": "z", "--R": "blockade_range"},
+    ProtocolKind.TRANSPORT: {"--alpha": "alpha", "--beta": "beta"},
 }
-_RANGES = {"full": InteractionRange.FULL, "nn": InteractionRange.NEAREST_NEIGHBOR}
-_POLICIES = {"instant": HyperfinePolicy.INSTANTANEOUS, "same": HyperfinePolicy.SAME_AS_OMEGA}
 
 
 def _fmt(x) -> str:
@@ -74,19 +72,43 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text(body, encoding="utf-8", newline="\n")
 
 
+def _choices(enum) -> list[str]:
+    return [member.value for member in enum]
+
+
+def _resolve_shape_flags(args, kind: ProtocolKind) -> None:
+    """Reject plan-shaping flags the protocol ignores, then fill in defaults."""
+    ignored = [
+        flag
+        for other, flags in _SHAPE_FLAGS.items() if other is not kind
+        for flag, dest in flags.items() if getattr(args, dest) is not None
+    ]
+    if ignored:
+        raise ValueError(f"--protocol {kind.value} takes no {', '.join(ignored)}")
+    args.z = 1.0 if args.z is None else args.z
+    args.blockade_range = 1 if args.blockade_range is None else args.blockade_range
+    args.alpha = 2**-0.5 if args.alpha is None else args.alpha
+    if args.beta is None:
+        if not abs(args.alpha) <= 1.0:
+            raise ValueError("--alpha must lie in [-1, 1] when --beta is omitted")
+        args.beta = float(np.sqrt(1.0 - args.alpha**2))
+
+
 def cmd_sweep(args) -> int:
+    kind = ProtocolKind(args.protocol)
+    _resolve_shape_flags(args, kind)
     spec = SweepSpec(
-        protocol=_PROTOCOLS[args.protocol],
+        protocol=kind,
         n_list=parse_n_list(args.n),
         grid=parse_grid(args.grid),
         disorder=args.disorder,
         realizations=args.realizations,
         master_seed=args.seed,
-        interaction_range=_RANGES[args.range],
+        interaction_range=InteractionRange(args.range),
         z=args.z,
         blockade_range=args.blockade_range,
         alpha=args.alpha,
-        beta=args.beta if args.beta is not None else float(np.sqrt(1.0 - args.alpha**2)),
+        beta=args.beta,
     )
     out = Path(args.out)
     write_manifest(out, "sweep", {
@@ -106,23 +128,24 @@ def cmd_sweep(args) -> int:
     ]
     _write_csv(out.with_suffix(".csv"), SWEEP_HEADER, rows)
     print(f"wrote {out.with_suffix('.csv')} ({len(rows)} rows)")
-    return 0
+    failed = [r for r in records if r.error is not None]
+    for r in failed:
+        print(f"capacity error: N={r.n} V0/Omega={_fmt(r.v0_over_omega)} is a NaN row: {r.error}",
+              file=sys.stderr)
+    return 4 if failed else 0
 
 
 def cmd_mps_areas(args) -> int:
-    rec = mps_area_schedule(args.n, args.z, args.blockade_range)
+    thetas = mps_area_schedule(args.n, args.z, args.blockade_range)
     poly = mps_area_schedule_polynomial(args.n, args.z, args.blockade_range)
-    disagreement = float(np.abs(rec.thetas - poly.thetas).max())
-    chosen = rec if args.method == "recursion" else poly
+    disagreement = float(np.abs(thetas - poly).max())
     out = Path(args.out)
     write_manifest(out, "mps-areas", {
         "n": args.n, "z": _fmt(args.z), "R": args.blockade_range,
-        "method": args.method, "cross_method_disagreement": _fmt(disagreement),
+        "cross_method_disagreement": _fmt(disagreement),
     })
     _write_csv(
-        out.with_suffix(".csv"),
-        "k,theta",
-        [f"{k + 1},{_fmt(th)}" for k, th in enumerate(chosen.thetas)],
+        out.with_suffix(".csv"), "k,theta", [f"{k + 1},{_fmt(th)}" for k, th in enumerate(thetas)]
     )
     print(f"wrote {out.with_suffix('.csv')}; methods agree within {disagreement:.3e}")
     if not disagreement <= 1e-8:  # a NaN disagreement fails too
@@ -164,14 +187,14 @@ def cmd_rk_check(args) -> int:
     if args.n > 10:
         raise ValueError("rk-check supports n <= 10")
     result = rk_ground_state_overlap(
-        args.n, args.v0_over_omega, _RANGES[args.range], omega=args.omega
+        args.n, args.v0_over_omega, InteractionRange(args.range), omega=args.omega
     )
     print(f"delta={_fmt(result.delta)} z={_fmt(result.z)} overlap={_fmt(result.overlap)}")
     return 0
 
 
 def cmd_nmax(args) -> int:
-    policy = _POLICIES[args.policy]
+    policy = HyperfinePolicy(args.policy)
     omega = args.v0 / args.ratio
     rows = [
         ("transport", estimate_n_max(ProtocolKind.TRANSPORT, args.v0, omega, args.tau_exp,
@@ -195,17 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="disorder-averaged fidelity sweep, CSV output")
-    p.add_argument("--protocol", choices=sorted(_PROTOCOLS), required=True)
+    p.add_argument("--protocol", choices=_choices(ProtocolKind), required=True)
     p.add_argument("--n", required=True, help="comma list of chain lengths")
     p.add_argument("--grid", required=True, help="V0/Omega grid: lo:hi:count or comma list")
     p.add_argument("--disorder", choices=["none", "iso", "aniso"], default="none")
     p.add_argument("--realizations", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z", type=float, default=1.0)
-    p.add_argument("--R", dest="blockade_range", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=float(2**-0.5))
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--range", choices=sorted(_RANGES), default="full")
+    p.add_argument("--z", type=float, help="mps only (default 1.0)")
+    p.add_argument("--R", dest="blockade_range", type=int, help="mps only (default 1)")
+    p.add_argument("--alpha", type=float, help="transport only (default 2**-0.5)")
+    p.add_argument("--beta", type=float, help="transport only (default sqrt(1 - alpha^2))")
+    p.add_argument("--range", choices=_choices(InteractionRange), default="full")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default="sweep", help="output basename")
     p.set_defaults(func=cmd_sweep)
@@ -214,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--R", dest="blockade_range", type=int, default=1)
-    p.add_argument("--method", choices=["recursion", "polynomial"], default="recursion")
     p.add_argument("--out", default="areas")
     p.set_defaults(func=cmd_mps_areas)
 
@@ -225,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rk-check", help="ground-state overlap with the dimer target")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--v0-over-omega", dest="v0_over_omega", type=float, required=True)
-    p.add_argument("--range", choices=sorted(_RANGES), default="nn")
+    p.add_argument("--range", choices=_choices(InteractionRange), default="nn")
     p.add_argument("--omega", type=float, default=1.0)
     p.set_defaults(func=cmd_rk_check)
 
@@ -233,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-exp", dest="tau_exp", type=float, required=True, help="budget in us")
     p.add_argument("--v0", type=float, required=True, help="interaction strength in rad/us")
     p.add_argument("--ratio", type=float, required=True, help="V0/Omega operating point")
-    p.add_argument("--policy", choices=sorted(_POLICIES), default="instant")
+    p.add_argument("--policy", choices=_choices(HyperfinePolicy), default="instant")
     p.add_argument("--z", type=float, nargs="*", default=[1.0, 10.0])
     p.set_defaults(func=cmd_nmax)
 

@@ -143,6 +143,8 @@ def _pair_indices(n_sites: int, local_dim: int, site: int, lo: int, hi: int):
 @lru_cache(maxsize=256)
 def _free_mask(n_sites: int, local_dim: int, site: int, lo: int, hi: int, radius: int):
     """Mask over the lo-index set: True where no neighbor within ``radius`` is Rydberg."""
+    if radius < 0:
+        raise ValueError("blockade radius must be >= 0")
     dig = basis_digits(n_sites, local_dim)
     sel_lo, _ = _pair_indices(n_sites, local_dim, site, lo, hi)
     k = site - 1
@@ -286,8 +288,8 @@ def build_effective_hamiltonian(n_sites: int, omega_per_site) -> np.ndarray:
     return H
 
 
-def ground_state_dense(H: np.ndarray) -> tuple[float, StateVector]:
-    """Lowest eigenpair of a Hermitian matrix over a 2- or 3-level chain basis."""
+def ground_state_dense(H: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (energy, normalized eigenvector) of a Hermitian matrix."""
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be square")
@@ -303,13 +305,4 @@ def ground_state_dense(H: np.ndarray) -> tuple[float, StateVector]:
     residual = np.linalg.norm(H @ vec - energy * vec)
     if residual > 1e-8 * scale:
         raise NumericalError(f"eigenpair residual {residual:.2e}")
-    n_sites, scheme = _infer_chain(dim)
-    return energy, StateVector(n_sites, scheme, vec.astype(np.complex128))
-
-
-def _infer_chain(dim: int) -> tuple[int, LevelScheme]:
-    for base, scheme in ((2, LevelScheme.TWO_LEVEL), (3, LevelScheme.THREE_LEVEL)):
-        n = round(np.log(dim) / np.log(base))
-        if base**n == dim:
-            return n, scheme
-    raise ValueError(f"dimension {dim} is not a 2- or 3-level chain")
+    return energy, vec

@@ -21,21 +21,6 @@ V0_REFERENCE = 2 * np.pi * 8.4
 
 
 @dataclass(frozen=True)
-class LatticeSpec:
-    n_sites: int
-    spacing_r0: float
-    v0: float
-
-    def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
-        if self.spacing_r0 <= 0:
-            raise ValueError("spacing_r0 must be positive")
-        if self.v0 < 0:
-            raise ValueError("v0 must be nonnegative")
-
-
-@dataclass(frozen=True)
 class DisorderSpec:
     """Per-axis Gaussian widths (sigma_1, sigma_2, sigma_3) in um.
 
@@ -79,14 +64,20 @@ def disorder_preset(name: str) -> DisorderSpec:
         raise ValueError(f"unknown disorder preset {name!r}; use none|iso|aniso") from None
 
 
-def ideal_configuration(spec: LatticeSpec) -> np.ndarray:
+def ideal_configuration(n_sites: int, spacing_r0: float) -> np.ndarray:
     """(n, 3) positions (0, 0, k*r0), k = 1..n."""
-    pos = np.zeros((spec.n_sites, 3))
-    pos[:, 2] = spec.spacing_r0 * np.arange(1, spec.n_sites + 1)
+    if n_sites < 1:
+        raise ValueError("n_sites must be >= 1")
+    if not spacing_r0 > 0:
+        raise ValueError("spacing_r0 must be positive")
+    pos = np.zeros((n_sites, 3))
+    pos[:, 2] = spacing_r0 * np.arange(1, n_sites + 1)
     return pos
 
 
-def sample_configuration(spec: LatticeSpec, disorder: DisorderSpec, seed) -> np.ndarray:
+def sample_configuration(
+    n_sites: int, spacing_r0: float, disorder: DisorderSpec, seed
+) -> np.ndarray:
     """Ideal positions plus independent per-axis Gaussian displacements.
 
     ``seed`` is anything ``numpy.random.SeedSequence`` accepts, or a
@@ -94,7 +85,7 @@ def sample_configuration(spec: LatticeSpec, disorder: DisorderSpec, seed) -> np.
     given seed reproduces the same configuration on any machine.
     """
     rng = rng_from_seed(seed)
-    pos = ideal_configuration(spec)
+    pos = ideal_configuration(n_sites, spacing_r0)
     sigma = np.asarray(disorder.sigma)
     if np.any(sigma > 0):
         pos = pos + rng.normal(size=pos.shape) * sigma

@@ -21,7 +21,6 @@ from .errors import CapacityError
 from .lattice import (
     R0_DEFAULT,
     DisorderSpec,
-    LatticeSpec,
     coupling_matrix,
     disorder_preset,
     ideal_configuration,
@@ -49,7 +48,6 @@ class SweepSpec:
     blockade_range: int = 1
     alpha: complex = 2**-0.5
     beta: complex = 2**-0.5
-    spacing_r0: float = R0_DEFAULT
 
     def __post_init__(self):
         if self.realizations < 1:
@@ -73,6 +71,7 @@ class SweepRecord:
     std_error: float
     fid_min: float
     fid_max: float
+    error: str | None = None  # why the cell is a NaN row; not written to the CSV
 
 
 def _target_state(spec: SweepSpec, plan: ProtocolPlan) -> StateVector | None:
@@ -92,13 +91,12 @@ def _one_realization(
     target: StateVector | None,
 ) -> float:
     ratio = spec.grid[grid_index]
-    lattice = LatticeSpec(n, spec.spacing_r0, ratio)
     if spec.disorder.is_none:
-        config = ideal_configuration(lattice)
+        config = ideal_configuration(n, R0_DEFAULT)
     else:
         seed = realization_seed(spec.master_seed, n, grid_index, realization_index)
-        config = sample_configuration(lattice, spec.disorder, seed)
-    couplings = coupling_matrix(config, ratio, spec.spacing_r0)
+        config = sample_configuration(n, R0_DEFAULT, spec.disorder, seed)
+    couplings = coupling_matrix(config, ratio, R0_DEFAULT)
     if spec.interaction_range is InteractionRange.NEAREST_NEIGHBOR:
         couplings = truncate_couplings(couplings, 1)
     final = execute(plan, RealisticBackend(HamiltonianSpec(couplings), omega=1.0))
@@ -114,9 +112,9 @@ def _cell(spec: SweepSpec, n: int, grid_index: int) -> SweepRecord:
         warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
         plan = plan_for(spec.protocol, n, spec.z, spec.blockade_range, spec.alpha, spec.beta)
         target = _target_state(spec, plan)
-        values = np.array(
-            [_one_realization(spec, n, grid_index, i, plan, target) for i in range(reps)]
-        )
+    values = np.array(
+        [_one_realization(spec, n, grid_index, i, plan, target) for i in range(reps)]
+    )
     if spec.disorder.is_none:
         values = np.repeat(values, spec.realizations)
     std_err = 0.0
@@ -135,38 +133,25 @@ def _cell(spec: SweepSpec, n: int, grid_index: int) -> SweepRecord:
     )
 
 
-def _cell_by_key(args) -> tuple[tuple[int, int], SweepRecord | None, str | None]:
+def _cell_or_nan(args) -> SweepRecord:
     spec, n, gi = args
     try:
-        return (n, gi), _cell(spec, n, gi), None
+        return _cell(spec, n, gi)
     except CapacityError as exc:
-        return (n, gi), None, str(exc)
+        nan = float("nan")
+        return SweepRecord(
+            spec.protocol.value, n, spec.grid[gi], spec.disorder.kind,
+            spec.realizations, nan, nan, nan, nan, error=str(exc),
+        )
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRecord]:
-    """All (n, grid) cells in canonical order; capacity failures are recorded
-    as NaN rows rather than aborting the sweep."""
+    """All (n, grid) cells in canonical order; a cell over the capacity limit
+    becomes a NaN row carrying the error message rather than aborting the sweep."""
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     cells = [(spec, n, gi) for n in spec.n_list for gi in range(len(spec.grid))]
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict()
-            for key, rec, err in pool.map(_cell_by_key, cells):
-                results[key] = (rec, err)
-    else:
-        results = {}
-        for args in cells:
-            key, rec, err = _cell_by_key(args)
-            results[key] = (rec, err)
-    records = []
-    for n in spec.n_list:
-        for gi in range(len(spec.grid)):
-            rec, err = results[(n, gi)]
-            if rec is None:
-                rec = SweepRecord(
-                    spec.protocol.value, n, spec.grid[gi], spec.disorder.kind,
-                    spec.realizations, float("nan"), float("nan"), float("nan"), float("nan"),
-                )
-            records.append(rec)
-    return records
+            return list(pool.map(_cell_or_nan, cells))
+    return list(map(_cell_or_nan, cells))

@@ -61,20 +61,9 @@ class ProtocolPlan:
     scheme: LevelScheme
     steps: tuple[PulseStep, ...]
     post_steps: tuple[PostStep, ...] = ()
-    z: float | None = None
-    blockade_range: int | None = None
+    blockade_range: int = 1  # the ideal backend's default radius
     alpha: complex | None = None
     beta: complex | None = None
-
-
-@dataclass(frozen=True)
-class AreaSchedule:
-    thetas: np.ndarray
-    z: float
-    blockade_range: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +88,8 @@ def plan_ghz(n_sites: int, scheme: LevelScheme) -> ProtocolPlan:
     return ProtocolPlan(kind, n_sites, scheme, tuple(steps), post)
 
 
-def mps_area_schedule(n_sites: int, z: float, blockade_range: int = 1) -> AreaSchedule:
-    """Backward-recursion pulse angles for the dimer target.
+def mps_area_schedule(n_sites: int, z: float, blockade_range: int = 1) -> np.ndarray:
+    """Backward-recursion pulse angles A_1..A_N for the dimer target.
 
     For range 1 the result is cross-checked against the closed form; a
     disagreement beyond 1e-12 raises.
@@ -121,7 +110,7 @@ def mps_area_schedule(n_sites: int, z: float, blockade_range: int = 1) -> AreaSc
         err = np.abs(thetas - ref).max()
         if err > 1e-12:
             raise NumericalError(f"recursion disagrees with the closed form by {err:.2e}")
-    return AreaSchedule(thetas, z, r)
+    return thetas
 
 
 def _closed_form_range1(n_sites: int, z: float) -> np.ndarray:
@@ -139,7 +128,7 @@ def _closed_form_range1(n_sites: int, z: float) -> np.ndarray:
     return np.sign(z) * np.arccos(cos) if z else np.arccos(cos) * 0.0
 
 
-def mps_area_schedule_polynomial(n_sites: int, z: float, blockade_range: int = 1) -> AreaSchedule:
+def mps_area_schedule_polynomial(n_sites: int, z: float, blockade_range: int = 1) -> np.ndarray:
     """Same angles via the characteristic polynomial of the linear recursion.
 
     cos^2 A_{N+1-k} = q_{k-1}/q_k where q_k = sum_j A_j lambda_j^k, the
@@ -150,7 +139,7 @@ def mps_area_schedule_polynomial(n_sites: int, z: float, blockade_range: int = 1
         raise ValueError("blockade_range must be >= 1")
     a = z * z
     if a == 0.0:
-        return AreaSchedule(np.zeros(n_sites), z, blockade_range)
+        return np.zeros(n_sites)
     r = blockade_range
     coeffs = np.zeros(r + 2)
     coeffs[0], coeffs[1], coeffs[-1] = 1.0, -1.0, -a
@@ -170,23 +159,16 @@ def mps_area_schedule_polynomial(n_sites: int, z: float, blockade_range: int = 1
         raise NumericalError(f"recursion solution not real, residual {np.abs(q.imag).max():.2e}")
     x = q.real[:-1] / (top * q.real[1:])  # cos^2 A_{N+1-k} for k = 1..N
     x = np.clip(x, 0.0, 1.0)
-    thetas = np.sign(z) * np.arccos(np.sqrt(x[::-1]))
-    return AreaSchedule(thetas, z, r)
+    return np.sign(z) * np.arccos(np.sqrt(x[::-1]))
 
 
 def plan_dimer_mps(n_sites: int, z: float, blockade_range: int = 1) -> ProtocolPlan:
-    schedule = mps_area_schedule(n_sites, z, blockade_range)
     steps = tuple(
         PulseStep(k + 1, Transition.GROUND_RYDBERG, float(th))
-        for k, th in enumerate(schedule.thetas)
+        for k, th in enumerate(mps_area_schedule(n_sites, z, blockade_range))
     )
     return ProtocolPlan(
-        ProtocolKind.DIMER_MPS,
-        n_sites,
-        LevelScheme.TWO_LEVEL,
-        steps,
-        z=z,
-        blockade_range=blockade_range,
+        ProtocolKind.DIMER_MPS, n_sites, LevelScheme.TWO_LEVEL, steps, blockade_range=blockade_range
     )
 
 
@@ -194,7 +176,7 @@ def plan_transport(n_sites: int, alpha: complex, beta: complex) -> ProtocolPlan:
     """Move (alpha|0> + beta|1>) from site 1 to site N."""
     if n_sites < 2:
         raise ValueError("transport needs at least 2 sites")
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # a NaN fails too
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     steps = []
     for k in range(1, n_sites):
@@ -270,7 +252,8 @@ def execute(plan: ProtocolPlan, backend, initial: StateVector | None = None) -> 
     amp = state.amplitudes.copy()
     n, dim = plan.n_sites, plan.scheme.local_dim
     if isinstance(backend, IdealBackend):
-        radius = backend.blockade_radius or plan.blockade_range or 1
+        radius = backend.blockade_radius
+        radius = plan.blockade_range if radius is None else radius
         for step in plan.steps:
             amp = _ideal_on_array(amp, n, dim, step, radius)
     elif isinstance(backend, RealisticBackend):

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, NumericalError
 
 GROUND = 0
 RYDBERG = 1
@@ -117,7 +117,7 @@ def embed_initial_qubit(alpha: complex, beta: complex, n_sites: int) -> StateVec
 
     The pair must be normalized already; nothing is silently rescaled.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > NORM_TOL:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_TOL:  # a NaN fails too
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     state = ground_state(n_sites, LevelScheme.TWO_LEVEL)
     amp = state.amplitudes
@@ -142,9 +142,7 @@ def reduce_to_site(state: StateVector, site: int) -> np.ndarray:
 def check_norm(state: StateVector, tol: float = NORM_TOL) -> StateVector:
     """Pass-through norm assertion used after norm-preserving operations."""
     drift = abs(state.norm() - 1.0)
-    if drift > tol:
-        from .errors import NumericalError
-
+    if not drift <= tol:  # a NaN amplitude fails too
         raise NumericalError(f"state norm drifted by {drift:.3e}")
     return state
 

@@ -89,12 +89,12 @@ def fidelity_mixed_single_qubit(target_ket, rho: np.ndarray) -> float:
     ket = np.asarray(target_ket, dtype=np.complex128)
     if ket.shape != (2,):
         raise ValueError("target ket must be a 2-vector")
-    if abs(np.linalg.norm(ket) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(ket) - 1.0) <= 1e-10:  # a NaN fails too
         raise ValueError("target ket must be normalized")
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise ValueError("rho must be 2x2")
-    if np.abs(rho - rho.conj().T).max() > 1e-8 or abs(np.trace(rho).real - 1.0) > 1e-8:
+    if not (np.abs(rho - rho.conj().T).max() <= 1e-8 and abs(np.trace(rho).real - 1.0) <= 1e-8):
         raise ValueError("rho is not a density matrix")
     f = float(np.real(np.vdot(ket, rho @ ket)))
     return min(max(f, 0.0), 1.0)

@@ -82,6 +82,57 @@ class TestSweepCommand:
             bodies.append(out.with_suffix(".csv").read_bytes())
         assert bodies[0] == bodies[1] == bodies[2]
 
+    def test_capacity_failure_exits_4_and_keeps_the_row(self, tmp_path, capsys):
+        out = tmp_path / "cap"
+        code = run_cli(
+            "sweep", "--protocol", "ghz3", "--n", "2,13", "--grid", "6.9",
+            "--realizations", "1", "--out", str(out),
+        )
+        assert code == 4
+        rows = read_rows(out.with_suffix(".csv"))
+        assert [r["N"] for r in rows] == ["2", "13"]
+        assert float(rows[0]["mean_fidelity"]) > 0.9
+        assert rows[1]["mean_fidelity"] == "nan"
+        err = capsys.readouterr().err
+        assert "capacity error" in err and "N=13" in err and "exceeds the cap" in err
+
+    @pytest.mark.parametrize("alpha", ["2", "-1.5", "nan"])
+    def test_alpha_outside_unit_interval_without_beta(self, tmp_path, alpha):
+        out = tmp_path / "t"
+        code = run_cli(
+            "sweep", "--protocol", "transport", "--n", "2,3", "--grid", "6.9",
+            "--alpha", alpha, "--out", str(out),
+        )
+        assert code == 2
+        assert not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("protocol,flag,value", [
+        ("ghz2", "--z", "1"),
+        ("ghz3", "--R", "2"),
+        ("transport", "--z", "0.5"),
+        ("transport", "--R", "1"),
+        ("mps", "--alpha", "0.6"),
+        ("mps", "--beta", "0.8"),
+        ("ghz2", "--alpha", "1"),
+    ])
+    def test_flag_the_protocol_ignores_is_rejected(self, tmp_path, capsys, protocol, flag, value):
+        out = tmp_path / "x"
+        code = run_cli(
+            "sweep", "--protocol", protocol, "--n", "2", "--grid", "6.9",
+            flag, value, "--out", str(out),
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
+    def test_default_beta_completes_alpha(self, tmp_path):
+        out = tmp_path / "t"
+        run_cli("sweep", "--protocol", "transport", "--n", "2", "--grid", "6.9", "--out", str(out))
+        lines = out.with_suffix(".manifest.txt").read_text().splitlines()
+        manifest = dict(line.split("=", 1) for line in lines)
+        assert manifest["alpha"] == repr(2**-0.5)
+        assert manifest["beta"] == "0.7071067811865475"  # sqrt(1 - alpha^2), not 2**-0.5
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", "--protocol", "bogus", "--n", "2", "--grid", "1")
@@ -113,13 +164,18 @@ class TestMpsAreasCommand:
     def test_cross_method_report(self, tmp_path, capsys):
         out = tmp_path / "areas"
         code = run_cli(
-            "mps-areas", "--n", "6", "--z", "1", "--R", "2",
-            "--method", "polynomial", "--out", str(out),
+            "mps-areas", "--n", "6", "--z", "1", "--R", "2", "--out", str(out),
         )
         assert code == 0
         assert "agree within" in capsys.readouterr().out
         manifest = out.with_suffix(".manifest.txt").read_text()
         assert "cross_method_disagreement=" in manifest
+
+    def test_method_option_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("mps-areas", "--n", "3", "--z", "1", "--method", "recursion",
+                    "--out", str(tmp_path / "a"))
+        assert exc.value.code == 2
 
     def test_long_chain_large_z_methods_agree(self, tmp_path):
         out = tmp_path / "areas"

@@ -5,7 +5,6 @@ from rydchain.errors import GeometryError
 from rydchain.lattice import (
     DISORDER_PRESETS,
     DisorderSpec,
-    LatticeSpec,
     coupling_matrix,
     disorder_preset,
     ideal_configuration,
@@ -17,28 +16,28 @@ from rydchain.lattice import (
 
 class TestIdealConfiguration:
     def test_reference_spacing(self):
-        pos = ideal_configuration(LatticeSpec(2, 4.1, 1.0))
+        pos = ideal_configuration(2, 4.1)
         assert np.allclose(pos, [[0, 0, 4.1], [0, 0, 8.2]])
 
     def test_single_atom(self):
-        pos = ideal_configuration(LatticeSpec(1, 2.0, 1.0))
+        pos = ideal_configuration(1, 2.0)
         assert pos.shape == (1, 3)
 
     def test_unit_spacing_distances(self):
-        pos = ideal_configuration(LatticeSpec(5, 1.0, 1.0))
+        pos = ideal_configuration(5, 1.0)
         for k in range(5):
             for m in range(5):
                 assert np.linalg.norm(pos[k] - pos[m]) == pytest.approx(abs(k - m))
 
-
-class TestLatticeSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LatticeSpec(0, 1.0, 1.0)
+            ideal_configuration(0, 1.0)
         with pytest.raises(ValueError):
-            LatticeSpec(2, -1.0, 1.0)
+            ideal_configuration(2, -1.0)
         with pytest.raises(ValueError):
-            LatticeSpec(2, 1.0, -1.0)
+            ideal_configuration(2, float("nan"))
+        with pytest.raises(ValueError):
+            sample_configuration(0, 1.0, DISORDER_PRESETS["iso"], seed=1)
 
 
 class TestDisorder:
@@ -58,36 +57,36 @@ class TestDisorder:
             DisorderSpec((-0.1, 0, 0))
 
     def test_zero_width_is_ideal(self):
-        spec = LatticeSpec(4, 4.1, 1.0)
-        pos = sample_configuration(spec, DisorderSpec((0, 0, 0)), seed=3)
-        assert np.array_equal(pos, ideal_configuration(spec))
+        n, r0 = 4, 4.1
+        pos = sample_configuration(n, r0, DisorderSpec((0, 0, 0)), seed=3)
+        assert np.array_equal(pos, ideal_configuration(n, r0))
 
     def test_same_seed_bit_identical(self):
-        spec = LatticeSpec(5, 4.1, 1.0)
+        n, r0 = 5, 4.1
         dis = DISORDER_PRESETS["iso"]
-        a = sample_configuration(spec, dis, realization_seed(7, 1, 2, 3))
-        b = sample_configuration(spec, dis, realization_seed(7, 1, 2, 3))
+        a = sample_configuration(n, r0, dis, realization_seed(7, 1, 2, 3))
+        b = sample_configuration(n, r0, dis, realization_seed(7, 1, 2, 3))
         assert np.array_equal(a, b)
-        c = sample_configuration(spec, dis, realization_seed(7, 1, 2, 4))
+        c = sample_configuration(n, r0, dis, realization_seed(7, 1, 2, 4))
         assert not np.array_equal(a, c)
 
     def test_sampled_variance_matches_widths(self):
-        spec = LatticeSpec(50, 4.1, 1.0)
+        n, r0 = 50, 4.1
         dis = DisorderSpec((0.12, 0.12, 0.12))
-        ideal = ideal_configuration(spec)
+        ideal = ideal_configuration(n, r0)
         disp = np.concatenate([
-            sample_configuration(spec, dis, realization_seed(11, i)) - ideal
+            sample_configuration(n, r0, dis, realization_seed(11, i)) - ideal
             for i in range(2000)
         ])
         var = disp.var(axis=0)  # 1e5 draws per axis
         assert np.all(np.abs(var - 0.12**2) < 0.02 * 0.12**2)
 
     def test_anisotropic_widths_land_on_their_axes(self):
-        spec = LatticeSpec(50, 4.1, 1.0)
+        n, r0 = 50, 4.1
         dis = DISORDER_PRESETS["aniso"]
-        ideal = ideal_configuration(spec)
+        ideal = ideal_configuration(n, r0)
         disp = np.concatenate([
-            sample_configuration(spec, dis, realization_seed(13, i)) - ideal
+            sample_configuration(n, r0, dis, realization_seed(13, i)) - ideal
             for i in range(400)
         ])
         std = disp.std(axis=0)
@@ -98,13 +97,13 @@ class TestDisorder:
 
 class TestCouplingMatrix:
     def test_neighbor_value(self):
-        pos = ideal_configuration(LatticeSpec(3, 4.1, 1.0))
+        pos = ideal_configuration(3, 4.1)
         V = coupling_matrix(pos, 5.0, 4.1)
         assert V[0, 1] == pytest.approx(5.0, rel=1e-12)
         assert V[1, 2] == pytest.approx(5.0, rel=1e-12)
 
     def test_next_nearest_suppressed_64(self):
-        pos = ideal_configuration(LatticeSpec(3, 4.1, 1.0))
+        pos = ideal_configuration(3, 4.1)
         V = coupling_matrix(pos, 5.0, 4.1)
         assert V[0, 2] == pytest.approx(5.0 / 64, rel=1e-12)
 
@@ -115,16 +114,16 @@ class TestCouplingMatrix:
         assert V[0, 1] == pytest.approx(1.0 / 8, rel=1e-12)
 
     def test_symmetric_zero_diagonal_nonnegative(self):
-        spec = LatticeSpec(5, 4.1, 2.0)
-        pos = sample_configuration(spec, DISORDER_PRESETS["iso"], seed=5)
+        n, r0 = 5, 4.1
+        pos = sample_configuration(n, r0, DISORDER_PRESETS["iso"], seed=5)
         V = coupling_matrix(pos, 2.0, 4.1)
         assert np.array_equal(V, V.T)
         assert np.all(np.diag(V) == 0)
         assert np.all(V >= 0)
 
     def test_rigid_motion_invariance(self, rng):
-        spec = LatticeSpec(5, 4.1, 2.0)
-        pos = sample_configuration(spec, DISORDER_PRESETS["iso"], seed=8)
+        n, r0 = 5, 4.1
+        pos = sample_configuration(n, r0, DISORDER_PRESETS["iso"], seed=8)
         V = coupling_matrix(pos, 2.0, 4.1)
         for _ in range(5):
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from rydchain import montecarlo
 from rydchain.analytics import ghz_fidelity_two_atoms
 from rydchain.lattice import DisorderSpec, disorder_preset
 from rydchain.montecarlo import SweepSpec, run_sweep
@@ -91,6 +94,30 @@ class TestRunSweep:
         recs = run_sweep(spec)
         assert np.isfinite(recs[0].mean_fidelity)
         assert np.isnan(recs[1].mean_fidelity)
+
+    def test_capacity_failure_carries_its_message(self):
+        recs = run_sweep(make_spec(protocol=ProtocolKind.GHZ3, n_list=(2, 13), realizations=1))
+        assert recs[0].error is None
+        assert "exceeds the cap" in recs[1].error
+        assert np.isnan([recs[1].mean_fidelity, recs[1].std_error, recs[1].fid_min]).all()
+
+    def test_realization_warnings_reach_the_caller(self, monkeypatch):
+        real = montecarlo.fidelity_pure
+
+        def warning_fidelity(target, final):
+            warnings.warn("from the realization loop", RuntimeWarning)
+            return real(target, final)
+
+        monkeypatch.setattr(montecarlo, "fidelity_pure", warning_fidelity)
+        with pytest.warns(RuntimeWarning, match="realization loop"):
+            run_sweep(make_spec())
+
+    def test_odd_ghz_target_warning_stays_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = make_spec(n_list=(3,), disorder=disorder_preset("iso"), realizations=2)
+            rec = run_sweep(spec)[0]
+        assert 0.0 <= rec.mean_fidelity <= 1.0
 
     def test_strictly_increasing_grid_enforced(self):
         with pytest.raises(ValueError):

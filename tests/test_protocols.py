@@ -10,6 +10,7 @@ from rydchain.dynamics import (
     InteractionRange,
     PulseStep,
     Transition,
+    apply_ideal_gate,
     build_full_hamiltonian,
 )
 from rydchain.protocols import (
@@ -19,6 +20,7 @@ from rydchain.protocols import (
     ProtocolPlan,
     RealisticBackend,
     execute,
+    initial_state,
     mps_area_schedule,
     mps_area_schedule_polynomial,
     plan_dimer_mps,
@@ -95,30 +97,30 @@ class TestStepCounts:
 class TestAreaSchedule:
     def test_zero_z(self):
         sched = mps_area_schedule(5, 0.0)
-        assert np.all(sched.thetas == 0)
+        assert np.all(sched == 0)
 
     def test_last_site_angle(self):
         for z in (0.3, 1.0, 4.2):
             sched = mps_area_schedule(4, z)
-            assert sched.thetas[-1] == pytest.approx(np.arctan(z), abs=1e-15)
-        assert mps_area_schedule(4, 1.0).thetas[-1] == pytest.approx(np.pi / 4)
+            assert sched[-1] == pytest.approx(np.arctan(z), abs=1e-15)
+        assert mps_area_schedule(4, 1.0)[-1] == pytest.approx(np.pi / 4)
 
     def test_frozen_triple(self):
         sched = mps_area_schedule(3, 1.0)
-        assert np.allclose(sched.thetas, N3_Z1_ANGLES, atol=1e-12)
+        assert np.allclose(sched, N3_Z1_ANGLES, atol=1e-12)
 
     @pytest.mark.parametrize("z", [0.1, 1.0, 10.0, -0.8])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_defining_relation(self, z, r):
         n = 9
         sched = mps_area_schedule(n, z, r)
-        th = np.concatenate([sched.thetas, np.zeros(r)])  # angles beyond the chain are 0
+        th = np.concatenate([sched, np.zeros(r)])  # angles beyond the chain are 0
         for j in range(n):
             lhs = np.sin(th[j]) / np.prod(np.cos(th[j : j + r + 1]))
             assert lhs == pytest.approx(z, abs=1e-12)
-        assert np.all(np.cos(sched.thetas) > 0)
+        assert np.all(np.cos(sched) > 0)
         if z:
-            assert np.all(np.sign(np.sin(sched.thetas)) == np.sign(z))
+            assert np.all(np.sign(np.sin(sched)) == np.sign(z))
 
     @pytest.mark.parametrize("n,r,z", [
         (n, r, z)
@@ -132,10 +134,10 @@ class TestAreaSchedule:
     def test_polynomial_method_agrees(self, n, r, z):
         a = mps_area_schedule(n, z, r)
         b = mps_area_schedule_polynomial(n, z, r)
-        assert np.abs(a.thetas - b.thetas).max() < 1e-8
+        assert np.abs(a - b).max() < 1e-8
 
     def test_polynomial_zero_z(self):
-        assert np.all(mps_area_schedule_polynomial(6, 0.0, 2).thetas == 0)
+        assert np.all(mps_area_schedule_polynomial(6, 0.0, 2) == 0)
 
     def test_polynomial_roots_r1(self):
         # lambda_pm = (1 +- sqrt(1+4z^2))/2 reproduces the closed form
@@ -155,8 +157,8 @@ class TestAreaSchedule:
     def test_long_chain_stays_finite(self):
         # the closed-form cross-check must not overflow on long chains
         sched = mps_area_schedule(500, 10.0)
-        assert np.isfinite(sched.thetas).all()
-        assert np.all(np.cos(sched.thetas) > 0)
+        assert np.isfinite(sched).all()
+        assert np.all(np.cos(sched) > 0)
 
 
 class TestDimerPlan:
@@ -225,6 +227,11 @@ class TestTransportPlan:
             plan_transport(1, 1.0, 0.0)
         with pytest.raises(ValueError):
             plan_transport(3, 1.0, 0.5)
+
+    @pytest.mark.parametrize("alpha,beta", [(np.nan, 0.5), (2.0, np.nan)])
+    def test_nan_amplitudes_rejected(self, alpha, beta):
+        with pytest.raises(ValueError):
+            plan_transport(3, alpha, beta)
 
 
 class TestPlanFor:
@@ -295,6 +302,20 @@ class TestExecute:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             execute(plan_ghz(3, TWO), IdealBackend(), initial=embed_initial_qubit(1, 0, 4))
+
+    @pytest.mark.parametrize("plan", [plan_ghz(4, TWO), plan_dimer_mps(4, 1.0, 2)])
+    def test_ideal_backend_radius_zero_equals_stepwise_gates(self, plan):
+        stepwise = initial_state(plan)
+        for step in plan.steps:
+            stepwise = apply_ideal_gate(stepwise, step, blockade_radius=0)
+        out = execute(plan, IdealBackend(blockade_radius=0))
+        assert np.array_equal(out.amplitudes, stepwise.amplitudes)
+        blockaded = execute(plan, IdealBackend(blockade_radius=1))
+        assert not np.allclose(out.amplitudes, blockaded.amplitudes)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            execute(plan_ghz(3, TWO), IdealBackend(blockade_radius=-1))
 
     def test_backend_hamiltonian_mismatch(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,13 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, random_state
-from rydchain.errors import CapacityError
+from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import RealisticBackend, execute, plan_transport
 from rydchain.statekit import (
     LevelScheme,
     StateVector,
     basis_digits,
+    check_norm,
     embed_initial_qubit,
     encode_occupations,
     from_amplitudes,
@@ -163,6 +164,18 @@ class TestEmbedInitialQubit:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             embed_initial_qubit(1.0, 0.1, 3)
+
+    @pytest.mark.parametrize("alpha,beta", [(np.nan, 0.5), (2.0, np.nan), (np.nan, np.nan)])
+    def test_rejects_nan(self, alpha, beta):
+        with pytest.raises(ValueError):
+            embed_initial_qubit(alpha, beta, 3)
+
+
+class TestCheckNorm:
+    @pytest.mark.parametrize("amp", [[1.0, 1e-4, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
+    def test_rejects_drift_and_nan(self, amp):
+        with pytest.raises(NumericalError):
+            check_norm(from_amplitudes(2, TWO, amp))
 
 
 class TestBasisIndexing:

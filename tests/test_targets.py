@@ -158,6 +158,14 @@ class TestFidelityMixed:
         with pytest.raises(ValueError):
             fidelity_mixed_single_qubit(np.array([1.0, 1.0]), np.eye(2) / 2)
 
+    def test_nan_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            fidelity_mixed_single_qubit(np.array([np.nan, 0.0]), np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            fidelity_mixed_single_qubit(np.array([1.0, 0.0]), np.diag([np.nan, 0.5]))
+        with pytest.raises(ValueError):
+            fidelity_mixed_single_qubit(np.array([1.0, 0.0]), np.full((2, 2), np.nan))
+
     @pytest.mark.parametrize("ratio", [2.0, 6.9, 10.0, 25.0])
     def test_transport_two_atoms_against_closed_forms(self, ratio):
         alpha, beta = 0.6, 0.8

@@ -22,7 +22,8 @@ from . import __version__
 from .analytics import estimate_n_max, fit_exponential_decay, rk_ground_state_overlap
 from .dynamics import InteractionRange
 from .errors import CapacityError, NumericalError
-from .montecarlo import SweepSpec, run_sweep
+from .lattice import DISORDER_PRESETS
+from .montecarlo import SHAPE_FIELDS, SweepSpec, run_sweep
 from .protocols import (
     HyperfinePolicy,
     ProtocolKind,
@@ -32,11 +33,8 @@ from .protocols import (
 
 SWEEP_HEADER = "protocol,N,v0_over_omega,disorder,realizations,mean_fidelity,std_error,min,max"
 
-#: sweep flags that shape one protocol's plan, by flag name and argparse dest
-_SHAPE_FLAGS = {
-    ProtocolKind.DIMER_MPS: {"--z": "z", "--R": "blockade_range"},
-    ProtocolKind.TRANSPORT: {"--alpha": "alpha", "--beta": "beta"},
-}
+#: sweep flag of each plan-shaping SweepSpec field (also its argparse dest)
+_SHAPE_FLAGS = {"z": "--z", "blockade_range": "--R", "alpha": "--alpha", "beta": "--beta"}
 
 
 def _fmt(x) -> str:
@@ -76,27 +74,23 @@ def _choices(enum) -> list[str]:
     return [member.value for member in enum]
 
 
-def _resolve_shape_flags(args, kind: ProtocolKind) -> None:
-    """Reject plan-shaping flags the protocol ignores, then fill in defaults."""
-    ignored = [
-        flag
-        for other, flags in _SHAPE_FLAGS.items() if other is not kind
-        for flag, dest in flags.items() if getattr(args, dest) is not None
-    ]
+def _shape_fields(args, kind: ProtocolKind) -> dict:
+    """The plan-shaping SweepSpec fields given as flags; a flag the protocol
+    ignores is rejected.  An omitted transport --beta is sqrt(1 - alpha^2)."""
+    given = {dest: getattr(args, dest) for dest in _SHAPE_FLAGS if getattr(args, dest) is not None}
+    ignored = [_SHAPE_FLAGS[dest] for dest in given if dest not in SHAPE_FIELDS.get(kind, ())]
     if ignored:
         raise ValueError(f"--protocol {kind.value} takes no {', '.join(ignored)}")
-    args.z = 1.0 if args.z is None else args.z
-    args.blockade_range = 1 if args.blockade_range is None else args.blockade_range
-    args.alpha = 2**-0.5 if args.alpha is None else args.alpha
-    if args.beta is None:
-        if not abs(args.alpha) <= 1.0:
+    if kind is ProtocolKind.TRANSPORT and "beta" not in given:
+        alpha = given.get("alpha", SweepSpec.alpha)
+        if not abs(alpha) <= 1.0:
             raise ValueError("--alpha must lie in [-1, 1] when --beta is omitted")
-        args.beta = float(np.sqrt(1.0 - args.alpha**2))
+        given["beta"] = float(np.sqrt(1.0 - alpha**2))
+    return given
 
 
 def cmd_sweep(args) -> int:
     kind = ProtocolKind(args.protocol)
-    _resolve_shape_flags(args, kind)
     spec = SweepSpec(
         protocol=kind,
         n_list=parse_n_list(args.n),
@@ -105,19 +99,8 @@ def cmd_sweep(args) -> int:
         realizations=args.realizations,
         master_seed=args.seed,
         interaction_range=InteractionRange(args.range),
-        z=args.z,
-        blockade_range=args.blockade_range,
-        alpha=args.alpha,
-        beta=args.beta,
+        **_shape_fields(args, kind),
     )
-    out = Path(args.out)
-    write_manifest(out, "sweep", {
-        "protocol": args.protocol, "n": args.n, "grid": args.grid,
-        "disorder": args.disorder, "realizations": args.realizations,
-        "seed": args.seed, "range": args.range, "z": _fmt(args.z),
-        "R": args.blockade_range, "alpha": _fmt(spec.alpha.real),
-        "beta": _fmt(spec.beta.real), "workers": args.workers or "env",
-    })
     records = run_sweep(spec, workers=args.workers)
     rows = [
         ",".join([
@@ -126,7 +109,15 @@ def cmd_sweep(args) -> int:
         ])
         for r in records
     ]
+    out = Path(args.out)
     _write_csv(out.with_suffix(".csv"), SWEEP_HEADER, rows)
+    write_manifest(out, "sweep", {
+        "protocol": args.protocol, "n": args.n, "grid": args.grid,
+        "disorder": args.disorder, "realizations": args.realizations,
+        "seed": args.seed, "range": args.range, "z": _fmt(spec.z),
+        "R": spec.blockade_range, "alpha": _fmt(spec.alpha.real),
+        "beta": _fmt(spec.beta.real), "workers": args.workers,
+    })
     print(f"wrote {out.with_suffix('.csv')} ({len(rows)} rows)")
     failed = [r for r in records if r.error is not None]
     for r in failed:
@@ -182,8 +173,6 @@ def _is_number(s: str) -> bool:
 
 
 def cmd_rk_check(args) -> int:
-    if args.omega <= 0:
-        raise ValueError("omega must be positive")
     if args.n > 10:
         raise ValueError("rk-check supports n <= 10")
     result = rk_ground_state_overlap(
@@ -221,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=_choices(ProtocolKind), required=True)
     p.add_argument("--n", required=True, help="comma list of chain lengths")
     p.add_argument("--grid", required=True, help="V0/Omega grid: lo:hi:count or comma list")
-    p.add_argument("--disorder", choices=["none", "iso", "aniso"], default="none")
+    p.add_argument("--disorder", choices=list(DISORDER_PRESETS), default="none")
     p.add_argument("--realizations", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--z", type=float, help="mps only (default 1.0)")
@@ -229,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="transport only (default 2**-0.5)")
     p.add_argument("--beta", type=float, help="transport only (default sqrt(1 - alpha^2))")
     p.add_argument("--range", choices=_choices(InteractionRange), default="full")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", default="sweep", help="output basename")
     p.set_defaults(func=cmd_sweep)
 

@@ -1,4 +1,8 @@
-"""Gate backends: constrained ideal rotations and exact pulsed evolution.
+"""Pulse kernels: constrained ideal rotations and exact pulsed evolution.
+
+The kernels act on raw amplitude arrays and run only through
+:func:`rydchain.protocols.execute`, whose plan has checked every site and
+transition when it was built.
 
 Rotation convention
 -------------------
@@ -39,15 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NumericalError
-from .statekit import (
-    GROUND,
-    HYPERFINE,
-    RYDBERG,
-    LevelScheme,
-    StateVector,
-    basis_digits,
-    check_norm,
-)
+from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits
 
 PI_HALF = np.pi / 2
 PI_QUARTER = np.pi / 4
@@ -63,9 +59,6 @@ class Transition(Enum):
         if self is Transition.GROUND_RYDBERG:
             return (GROUND, RYDBERG)
         return (HYPERFINE, RYDBERG)
-
-    def requires(self) -> LevelScheme | None:
-        return LevelScheme.THREE_LEVEL if self is Transition.RYDBERG_HYPERFINE else None
 
 
 @dataclass(frozen=True)
@@ -166,23 +159,8 @@ def interaction_diagonal(hamiltonian: HamiltonianSpec, local_dim: int) -> np.nda
     return pairs + occ @ hamiltonian.detuning
 
 
-def _require_scheme(state: StateVector, transition: Transition) -> None:
-    needed = transition.requires()
-    if needed is not None and state.scheme is not needed:
-        raise ValueError(f"transition {transition.value} needs the {needed.name} scheme")
-
-
 # ---------------------------------------------------------------------------
 # ideal constrained gate
-
-def apply_ideal_gate(state: StateVector, step: PulseStep, blockade_radius: int = 1) -> StateVector:
-    """Perfect-blockade rotation: acts only where the neighborhood is Rydberg-free."""
-    _require_scheme(state, step.transition)
-    new = _ideal_on_array(
-        state.amplitudes, state.n_sites, state.scheme.local_dim, step, blockade_radius
-    )
-    return check_norm(StateVector(state.n_sites, state.scheme, new))
-
 
 def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int):
     lo, hi = step.transition.levels
@@ -198,22 +176,6 @@ def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int):
 
 # ---------------------------------------------------------------------------
 # realistic pulsed evolution
-
-def apply_realistic_pulse(
-    state: StateVector, step: PulseStep, hamiltonian: HamiltonianSpec, omega: float
-) -> StateVector:
-    """Exact evolution under drive + interactions for t = theta / (2 omega)."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    _require_scheme(state, step.transition)
-    if hamiltonian.n_sites != state.n_sites:
-        raise ValueError("Hamiltonian chain length does not match the state")
-    e_tot = interaction_diagonal(hamiltonian, state.scheme.local_dim)
-    new = _pulse_on_array(
-        state.amplitudes, state.n_sites, state.scheme.local_dim, step, e_tot, omega
-    )
-    return check_norm(StateVector(state.n_sites, state.scheme, new))
-
 
 def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
     lo, hi = step.transition.levels
@@ -238,7 +200,6 @@ def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
 # ---------------------------------------------------------------------------
 # dense Hamiltonians
 
-MAX_DENSE_SITES = 12
 MAX_DENSE_DIM = 4096
 
 
@@ -249,8 +210,8 @@ def build_full_hamiltonian(hamiltonian: HamiltonianSpec, omega_per_site) -> np.n
     half the desired coefficient when a bare omega*sigma_y drive is wanted.
     """
     n = hamiltonian.n_sites
-    if n > MAX_DENSE_SITES:
-        raise CapacityError(f"dense Hamiltonian limited to {MAX_DENSE_SITES} sites")
+    if 2**n > MAX_DENSE_DIM:
+        raise CapacityError(f"dense Hamiltonian limited to dimension {MAX_DENSE_DIM}")
     omegas = np.broadcast_to(np.asarray(omega_per_site, dtype=float), (n,))
     dig = basis_digits(n, 2)
     H = np.diag(interaction_diagonal(hamiltonian, 2)).astype(np.complex128)
@@ -259,32 +220,6 @@ def build_full_hamiltonian(hamiltonian: HamiltonianSpec, omega_per_site) -> np.n
         sel = np.where(dig[:, k] == GROUND)[0]
         H[sel + stride, sel] += 2j * omegas[k]
         H[sel, sel + stride] += -2j * omegas[k]
-    return H
-
-
-def build_effective_hamiltonian(n_sites: int, omega_per_site) -> np.ndarray:
-    """Blockade-constrained drive sum_k omega_k P_{k-1} sigma_y^(k) P_{k+1}.
-
-    Dense oracle for :func:`apply_ideal_gate`.  Here the sigma_y coefficient
-    is omega_k itself, so exp(-i t H) on a single driven site is a rotation
-    by theta = omega*t.
-    """
-    if n_sites > MAX_DENSE_SITES:
-        raise CapacityError(f"dense Hamiltonian limited to {MAX_DENSE_SITES} sites")
-    omegas = np.broadcast_to(np.asarray(omega_per_site, dtype=float), (n_sites,))
-    dig = basis_digits(n_sites, 2)
-    dim = 2**n_sites
-    H = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(n_sites):
-        stride = 2 ** (n_sites - 1 - k)
-        sel = np.where(dig[:, k] == GROUND)[0]
-        free = np.ones(len(sel), dtype=bool)
-        for kk in (k - 1, k + 1):
-            if 0 <= kk < n_sites:
-                free &= dig[sel, kk] != RYDBERG
-        sel = sel[free]
-        H[sel + stride, sel] += 1j * omegas[k]
-        H[sel, sel + stride] += -1j * omegas[k]
     return H
 
 

@@ -9,10 +9,9 @@ are independent of worker count and identical across reruns.
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +31,12 @@ from .protocols import ProtocolKind, ProtocolPlan, RealisticBackend, execute, pl
 from .statekit import StateVector, reduce_to_site
 from .targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure, ghz_target
 
-WORKERS_ENV = "RYDCHAIN_WORKERS"
+#: SweepSpec fields that shape one protocol's plan or input; every other
+#: protocol ignores them, so they must keep their defaults there
+SHAPE_FIELDS = {
+    ProtocolKind.DIMER_MPS: ("z", "blockade_range"),
+    ProtocolKind.TRANSPORT: ("alpha", "beta"),
+}
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,14 @@ class SweepSpec:
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         if isinstance(self.disorder, str):
             object.__setattr__(self, "disorder", disorder_preset(self.disorder))
+        defaults = {f.name: f.default for f in fields(self)}
+        ignored = [
+            name
+            for kind, names in SHAPE_FIELDS.items() if kind is not self.protocol
+            for name in names if getattr(self, name) != defaults[name]  # a NaN differs too
+        ]
+        if ignored:
+            raise ValueError(f"protocol {self.protocol.value} ignores {', '.join(ignored)}")
 
 
 @dataclass(frozen=True)
@@ -145,11 +157,9 @@ def _cell_or_nan(args) -> SweepRecord:
         )
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRecord]:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """All (n, grid) cells in canonical order; a cell over the capacity limit
     becomes a NaN row carrying the error message rather than aborting the sweep."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     cells = [(spec, n, gi) for n in spec.n_list for gi in range(len(spec.grid))]
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -65,6 +65,16 @@ class ProtocolPlan:
     alpha: complex | None = None
     beta: complex | None = None
 
+    def __post_init__(self):
+        """Every step and post-step addresses a site of the chain, and a
+        hyperfine transfer needs the three-level scheme."""
+        three_level = self.scheme is LevelScheme.THREE_LEVEL
+        for step in (*self.steps, *self.post_steps):
+            if not 1 <= step.site <= self.n_sites:
+                raise ValueError(f"step on site {step.site} outside the chain 1..{self.n_sites}")
+            if step.transition is Transition.RYDBERG_HYPERFINE and not three_level:
+                raise ValueError(f"transition {step.transition.value} needs three levels")
+
 
 # ---------------------------------------------------------------------------
 # plans
@@ -245,7 +255,8 @@ class RealisticBackend:
 
 
 def execute(plan: ProtocolPlan, backend, initial: StateVector | None = None) -> StateVector:
-    """Apply the plan's pulses then its post-processing gates."""
+    """Apply the plan's pulses then its post-processing gates: the one way a
+    pulse is run.  A single pulse is a plan of one step with ``initial`` set."""
     state = initial_state(plan) if initial is None else initial
     if state.n_sites != plan.n_sites or state.scheme is not plan.scheme:
         raise ValueError("initial state does not match the plan")

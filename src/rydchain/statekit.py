@@ -8,7 +8,6 @@ and HYPERFINE = 2; only the Rydberg level interacts.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -64,12 +63,21 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def require_capacity(n_sites: int, local_dim: int) -> int:
+    """Amplitude count of a dense chain state; raises before anything is
+    allocated when it exceeds :data:`MAX_AMPLITUDES`."""
+    dim = local_dim**n_sites
+    if dim > MAX_AMPLITUDES:
+        raise CapacityError(
+            f"state of dimension {dim} ({local_dim}^{n_sites}) exceeds the cap of {MAX_AMPLITUDES}"
+        )
+    return dim
+
+
 @lru_cache(maxsize=64)
 def basis_digits(n_sites: int, local_dim: int) -> np.ndarray:
     """(dim, n_sites) table of site occupations for every basis index."""
-    dim = local_dim**n_sites
-    if dim > MAX_AMPLITUDES:
-        raise CapacityError(f"{local_dim}^{n_sites} amplitudes exceed the cap of {MAX_AMPLITUDES}")
+    dim = require_capacity(n_sites, local_dim)
     idx = np.arange(dim)
     cols = [(idx // local_dim ** (n_sites - 1 - k)) % local_dim for k in range(n_sites)]
     out = np.stack(cols, axis=1)
@@ -91,10 +99,7 @@ def ground_state(n_sites: int, scheme: LevelScheme) -> StateVector:
     """|00...0> on ``n_sites`` atoms."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    dim = scheme.local_dim**n_sites
-    if dim > MAX_AMPLITUDES:
-        raise CapacityError(f"state of dimension {dim} exceeds the cap of {MAX_AMPLITUDES}")
-    amp = np.zeros(dim, dtype=np.complex128)
+    amp = np.zeros(require_capacity(n_sites, scheme.local_dim), dtype=np.complex128)
     amp[0] = 1.0
     return StateVector(n_sites, scheme, amp)
 
@@ -103,13 +108,6 @@ def from_amplitudes(n_sites: int, scheme: LevelScheme, amplitudes) -> StateVecto
     """Wrap a raw amplitude array (copied, cast to complex) without normalizing."""
     amp = np.asarray(amplitudes, dtype=np.complex128).copy()
     return StateVector(n_sites, scheme, amp)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.n_sites != b.n_sites or a.scheme is not b.scheme:
-        raise ValueError("states live on different chains")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def embed_initial_qubit(alpha: complex, beta: complex, n_sites: int) -> StateVector:
@@ -145,12 +143,3 @@ def check_norm(state: StateVector, tol: float = NORM_TOL) -> StateVector:
     if not drift <= tol:  # a NaN amplitude fails too
         raise NumericalError(f"state norm drifted by {drift:.3e}")
     return state
-
-
-def warn_if_odd_ghz(n_sites: int) -> None:
-    if n_sites % 2:
-        warnings.warn(
-            f"alternating pattern on {n_sites} sites is not energy-degenerate "
-            "between its two components; even chain lengths are canonical",
-            stacklevel=3,
-        )

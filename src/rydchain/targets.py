@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
+from .errors import NumericalError
 from .statekit import (
     HYPERFINE,
     RYDBERG,
@@ -11,8 +14,12 @@ from .statekit import (
     StateVector,
     basis_digits,
     encode_occupations,
-    warn_if_odd_ghz,
+    require_capacity,
 )
+
+#: Largest excess of an unclipped fidelity beyond [0, 1] that is clipped;
+#: states within check_norm's tolerance stay well inside it.
+FIDELITY_TOL = 1e-9
 
 
 def ghz_target(n_sites: int, scheme: LevelScheme) -> StateVector:
@@ -24,12 +31,17 @@ def ghz_target(n_sites: int, scheme: LevelScheme) -> StateVector:
     """
     if n_sites < 2:
         raise ValueError("GHZ pattern needs at least 2 sites")
-    warn_if_odd_ghz(n_sites)
+    amp = np.zeros(require_capacity(n_sites, scheme.local_dim), dtype=np.complex128)
+    if n_sites % 2:
+        warnings.warn(
+            f"alternating pattern on {n_sites} sites is not energy-degenerate "
+            "between its two components; even chain lengths are canonical",
+            stacklevel=2,
+        )
     x = HYPERFINE if scheme is LevelScheme.THREE_LEVEL else RYDBERG
     dim = scheme.local_dim
     a = [x if k % 2 else 0 for k in range(n_sites)]  # x 0 x 0 ...
     b = [0 if k % 2 else x for k in range(n_sites)]
-    amp = np.zeros(dim**n_sites, dtype=np.complex128)
     amp[encode_occupations(b, dim)] = 1 / np.sqrt(2)  # 0 x 0 x ...
     amp[encode_occupations(a, dim)] = 1 / np.sqrt(2)
     return StateVector(n_sites, scheme, amp)
@@ -52,36 +64,12 @@ def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> Stat
     return StateVector(n_sites, LevelScheme.TWO_LEVEL, amp)
 
 
-def dimer_target_mps(n_sites: int, z: float) -> StateVector:
-    """Range-1 dimer state built by contracting the bond-2 tensor chain.
-
-    X0 = (1 - n) + z*sigma_minus and X1 = sigma_plus on the bond space;
-    contracting l . X_{i_1} ... X_{i_N} . r gives amplitude z^n on allowed
-    configurations and an exact zero whenever two excitations are adjacent.
-    The boundary vectors l = (1, z) and r = (1, 0)^T seed and close the
-    chain so that the first and last atoms may both be excited.  A per-index
-    loop over 2^N, kept as the independent check of :func:`dimer_target_direct`.
-    """
-    x = (np.array([[1.0, z], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
-    left, right = np.array([1.0, z]), np.array([1.0, 0.0])
-    dig = basis_digits(n_sites, 2)
-    amp = np.empty(2**n_sites, dtype=np.complex128)
-    for idx, occ in enumerate(dig):
-        vec = right
-        for i in occ[::-1]:
-            vec = x[i] @ vec
-        amp[idx] = left @ vec
-    norm = np.linalg.norm(amp)
-    amp /= norm
-    return StateVector(n_sites, LevelScheme.TWO_LEVEL, amp)
-
-
 def fidelity_pure(target: StateVector, final: StateVector) -> float:
     """|<target|final>|^2."""
     if target.dim != final.dim:
         raise ValueError("state dimensions differ")
     f = abs(np.vdot(target.amplitudes, final.amplitudes)) ** 2
-    return float(min(f, 1.0))
+    return _clip_unit(float(f))
 
 
 def fidelity_mixed_single_qubit(target_ket, rho: np.ndarray) -> float:
@@ -96,5 +84,11 @@ def fidelity_mixed_single_qubit(target_ket, rho: np.ndarray) -> float:
         raise ValueError("rho must be 2x2")
     if not (np.abs(rho - rho.conj().T).max() <= 1e-8 and abs(np.trace(rho).real - 1.0) <= 1e-8):
         raise ValueError("rho is not a density matrix")
-    f = float(np.real(np.vdot(ket, rho @ ket)))
+    return _clip_unit(float(np.real(np.vdot(ket, rho @ ket))))
+
+
+def _clip_unit(f: float) -> float:
+    """f clipped to [0, 1]; an excess beyond FIDELITY_TOL (or a NaN) raises."""
+    if not -FIDELITY_TOL <= f <= 1.0 + FIDELITY_TOL:
+        raise NumericalError(f"fidelity {f!r} lies outside [0, 1] by more than {FIDELITY_TOL:g}")
     return min(max(f, 0.0), 1.0)

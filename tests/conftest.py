@@ -5,6 +5,7 @@ import pytest
 
 from rydchain.dynamics import HamiltonianSpec, InteractionRange
 from rydchain.lattice import truncate_couplings
+from rydchain.protocols import IdealBackend, ProtocolKind, ProtocolPlan, RealisticBackend, execute
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -42,3 +43,17 @@ def rng():
 def random_state(rng, dim: int) -> np.ndarray:
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return amp / np.linalg.norm(amp)
+
+
+def run_steps(state, backend, *steps):
+    """``steps`` as a hand-built plan on ``state``'s chain, run by ``execute``."""
+    plan = ProtocolPlan(ProtocolKind.GHZ2, state.n_sites, state.scheme, steps)
+    return execute(plan, backend, initial=state)
+
+
+def run_ideal(state, step, blockade_radius=1):
+    return run_steps(state, IdealBackend(blockade_radius), step)
+
+
+def run_realistic(state, step, hamiltonian, omega):
+    return run_steps(state, RealisticBackend(hamiltonian, omega), step)

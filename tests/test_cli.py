@@ -125,6 +125,20 @@ class TestSweepCommand:
         assert flag in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists()
 
+    def test_failing_sweep_leaves_no_file(self, tmp_path):
+        # the (alpha, beta) pair is checked inside the sweep, after argument parsing
+        code = run_cli(
+            "sweep", "--protocol", "transport", "--n", "2", "--grid", "6.9",
+            "--alpha", "0.6", "--beta", "0.9", "--out", str(tmp_path / "t"),
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_records_worker_count(self, tmp_path):
+        out = tmp_path / "w"
+        run_cli("sweep", "--protocol", "ghz2", "--n", "2", "--grid", "6.9", "--out", str(out))
+        assert "workers=1" in out.with_suffix(".manifest.txt").read_text().splitlines()
+
     def test_default_beta_completes_alpha(self, tmp_path):
         out = tmp_path / "t"
         run_cli("sweep", "--protocol", "transport", "--n", "2", "--grid", "6.9", "--out", str(out))

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import chain_hamiltonian, random_state
+from conftest import chain_hamiltonian, random_state, run_ideal, run_realistic
+from oracles import build_effective_hamiltonian
 from rydchain.dynamics import (
     HamiltonianSpec,
     InteractionRange,
     PulseStep,
     Transition,
-    apply_ideal_gate,
-    apply_realistic_pulse,
-    build_effective_hamiltonian,
     build_full_hamiltonian,
     ground_state_dense,
     half_pi_pulse,
@@ -44,9 +42,9 @@ class TestPulseStep:
 
 class TestIdealGate:
     def test_free_atom_pi(self):
-        s = apply_ideal_gate(basis(1, 0), pi_pulse(1))
+        s = run_ideal(basis(1, 0), pi_pulse(1))
         assert np.allclose(s.amplitudes, [0, 1], atol=1e-15)
-        s = apply_ideal_gate(basis(1, 1), pi_pulse(1))
+        s = run_ideal(basis(1, 1), pi_pulse(1))
         assert np.allclose(s.amplitudes, [-1, 0], atol=1e-15)
 
     def test_toffoli_truth_table(self):
@@ -64,17 +62,17 @@ class TestIdealGate:
         for occ_in, occ_out in table.items():
             idx_in = int("".join(map(str, occ_in)), 2)
             idx_out = int("".join(map(str, occ_out)), 2)
-            out = apply_ideal_gate(basis(3, idx_in), pi_pulse(2))
+            out = run_ideal(basis(3, idx_in), pi_pulse(2))
             assert abs(out.amplitudes[idx_out]) == pytest.approx(1.0, abs=1e-15)
 
     def test_blockaded_neighbor_frozen(self):
         # |0 1 0>: a pi pulse on site 1 is blocked by the excited site 2
-        out = apply_ideal_gate(basis(3, 0b010), pi_pulse(1))
+        out = run_ideal(basis(3, 0b010), pi_pulse(1))
         assert out.amplitudes[0b010] == 1.0
 
     def test_ghz_step(self):
         s = from_amplitudes(2, TWO, np.array([1, 0, 1, 0]) / np.sqrt(2))  # (|00>+|10>)/sqrt2
-        out = apply_ideal_gate(s, pi_pulse(2))
+        out = run_ideal(s, pi_pulse(2))
         expected = np.zeros(4)
         expected[0b01] = expected[0b10] = 1 / np.sqrt(2)
         assert np.allclose(out.amplitudes, expected, atol=1e-15)
@@ -84,7 +82,7 @@ class TestIdealGate:
             a = from_amplitudes(3, TWO, random_state(rng, 8))
             b = from_amplitudes(3, TWO, random_state(rng, 8))
             step = PulseStep(2, G_R, rng.uniform(0, np.pi))
-            ua, ub = apply_ideal_gate(a, step), apply_ideal_gate(b, step)
+            ua, ub = run_ideal(a, step), run_ideal(b, step)
             assert ua.norm() == pytest.approx(1.0, abs=1e-10)
             assert np.vdot(ua.amplitudes, ub.amplitudes) == pytest.approx(
                 np.vdot(a.amplitudes, b.amplitudes), abs=1e-9
@@ -92,31 +90,31 @@ class TestIdealGate:
 
     def test_rotation_inverse_is_exact(self, rng):
         s = from_amplitudes(3, TWO, random_state(rng, 8))
-        fwd = apply_ideal_gate(s, PulseStep(2, G_R, 0.813))
-        back = apply_ideal_gate(fwd, PulseStep(2, G_R, -0.813))
+        fwd = run_ideal(s, PulseStep(2, G_R, 0.813))
+        back = run_ideal(fwd, PulseStep(2, G_R, -0.813))
         assert np.abs(back.amplitudes - s.amplitudes).max() < 1e-12
 
     def test_blockade_radius_two(self):
         # |1 0 0>: site 3 is blocked at radius 2 but free at radius 1
-        frozen = apply_ideal_gate(basis(3, 0b100), pi_pulse(3), blockade_radius=2)
+        frozen = run_ideal(basis(3, 0b100), pi_pulse(3), blockade_radius=2)
         assert frozen.amplitudes[0b100] == 1.0
-        flipped = apply_ideal_gate(basis(3, 0b100), pi_pulse(3), blockade_radius=1)
+        flipped = run_ideal(basis(3, 0b100), pi_pulse(3), blockade_radius=1)
         assert abs(flipped.amplitudes[0b101]) == pytest.approx(1.0)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            apply_ideal_gate(basis(3, 0), pi_pulse(2), blockade_radius=-1)
+            run_ideal(basis(3, 0), pi_pulse(2), blockade_radius=-1)
 
     def test_hyperfine_needs_three_levels(self):
         with pytest.raises(ValueError):
-            apply_ideal_gate(basis(2, 0), pi_pulse(1, Transition.RYDBERG_HYPERFINE))
+            run_ideal(basis(2, 0), pi_pulse(1, Transition.RYDBERG_HYPERFINE))
 
     def test_hyperfine_transfer_orientation(self):
         # |1> -> -|1~> under a full transfer
         s = basis(1, 1, THREE)
-        out = apply_ideal_gate(s, pi_pulse(1, Transition.RYDBERG_HYPERFINE))
+        out = run_ideal(s, pi_pulse(1, Transition.RYDBERG_HYPERFINE))
         assert out.amplitudes[2] == pytest.approx(-1.0, abs=1e-15)
-        back = apply_ideal_gate(out, pi_pulse(1, Transition.RYDBERG_HYPERFINE))
+        back = run_ideal(out, pi_pulse(1, Transition.RYDBERG_HYPERFINE))
         assert back.amplitudes[1] == pytest.approx(-1.0, abs=1e-15)
 
 
@@ -126,8 +124,8 @@ class TestRealisticPulse:
         amp = random_state(rng, 2)
         s = from_amplitudes(1, TWO, amp)
         step = PulseStep(1, G_R, np.pi / 2)
-        real = apply_realistic_pulse(s, step, ham, omega=1.3)
-        ideal = apply_ideal_gate(s, step)
+        real = run_realistic(s, step, ham, omega=1.3)
+        ideal = run_ideal(s, step)
         assert np.abs(real.amplitudes - ideal.amplitudes).max() < 1e-12
 
     def test_no_interaction_free_neighborhood(self, rng):
@@ -137,8 +135,8 @@ class TestRealisticPulse:
         amp[0b00], amp[0b10] = random_state(rng, 2)
         s = from_amplitudes(2, TWO, amp)
         step = PulseStep(1, G_R, 0.77)
-        real = apply_realistic_pulse(s, step, ham, omega=2.0)
-        ideal = apply_ideal_gate(s, step)
+        real = run_realistic(s, step, ham, omega=2.0)
+        ideal = run_ideal(s, step)
         assert np.abs(real.amplitudes - ideal.amplitudes).max() < 1e-12
 
     @pytest.mark.parametrize("ratio", [1.0, 6.9, 15.5])
@@ -149,8 +147,8 @@ class TestRealisticPulse:
 
         ham = chain_hamiltonian(2, ratio)
         s = ground_state(2, TWO)
-        s = apply_realistic_pulse(s, half_pi_pulse(1), ham, omega=1.0)
-        s = apply_realistic_pulse(s, pi_pulse(2), ham, omega=1.0)
+        s = run_realistic(s, half_pi_pulse(1), ham, omega=1.0)
+        s = run_realistic(s, pi_pulse(2), ham, omega=1.0)
         coeffs = two_atom_coefficients(ratio, 1.0)
         assert abs(s.amplitudes[0b10] * np.sqrt(2) - coeffs.gamma) < 1e-10
         assert abs(abs(s.amplitudes[0b11]) * np.sqrt(2) - coeffs.delta) < 1e-10
@@ -158,8 +156,8 @@ class TestRealisticPulse:
     def test_blockade_limit_matches_ideal_gate(self):
         ham = chain_hamiltonian(2, 1e6)
         s = from_amplitudes(2, TWO, np.array([1, 0, 1, 0]) / np.sqrt(2))
-        real = apply_realistic_pulse(s, pi_pulse(2), ham, omega=1.0)
-        ideal = apply_ideal_gate(s, pi_pulse(2))
+        real = run_realistic(s, pi_pulse(2), ham, omega=1.0)
+        ideal = run_ideal(s, pi_pulse(2))
         assert np.linalg.norm(real.amplitudes - ideal.amplitudes) < 1e-4
 
     def test_long_range_tail_breaks_convergence_at_three_sites(self):
@@ -167,17 +165,17 @@ class TestRealisticPulse:
         # dynamical phase the constrained gate does not have
         step = pi_pulse(2)
         s = basis(3, 0b101)
-        ideal = apply_ideal_gate(s, step)
-        full = apply_realistic_pulse(s, step, chain_hamiltonian(3, 1e6), omega=1.0)
+        ideal = run_ideal(s, step)
+        full = run_realistic(s, step, chain_hamiltonian(3, 1e6), omega=1.0)
         assert np.linalg.norm(full.amplitudes - ideal.amplitudes) > 0.1
-        nn = apply_realistic_pulse(
+        nn = run_realistic(
             s, step, chain_hamiltonian(3, 1e6, InteractionRange.NEAREST_NEIGHBOR), omega=1.0
         )
         assert np.linalg.norm(nn.amplitudes - ideal.amplitudes) < 1e-4
 
     def test_zero_omega_rejected(self):
         with pytest.raises(ValueError):
-            apply_realistic_pulse(ground_state(2, TWO), pi_pulse(1), chain_hamiltonian(2, 1.0), 0.0)
+            run_realistic(ground_state(2, TWO), pi_pulse(1), chain_hamiltonian(2, 1.0), 0.0)
 
     @pytest.mark.parametrize("n,detuning", [
         pytest.param(2, None, id="2"),
@@ -196,7 +194,7 @@ class TestRealisticPulse:
         H = build_full_hamiltonian(ham, omegas)
         s = from_amplitudes(n, TWO, random_state(rng, 2**n))
         dense = expm(-1j * H * theta / (2 * omega)) @ s.amplitudes
-        fast = apply_realistic_pulse(s, PulseStep(site, G_R, theta), ham, omega)
+        fast = run_realistic(s, PulseStep(site, G_R, theta), ham, omega)
         assert np.abs(dense - fast.amplitudes).max() < 1e-9
 
     def test_three_level_pulse_against_dense_oracle(self, rng):
@@ -210,7 +208,7 @@ class TestRealisticPulse:
         H = 2 * omega * np.kron(sy_h, np.eye(3)) + ratio * np.kron(n_r, n_r)
         s = from_amplitudes(2, THREE, random_state(rng, 9))
         dense = expm(-1j * H * theta / (2 * omega)) @ s.amplitudes
-        fast = apply_realistic_pulse(
+        fast = run_realistic(
             s,
             PulseStep(1, Transition.RYDBERG_HYPERFINE, theta),
             chain_hamiltonian(2, ratio),
@@ -268,7 +266,7 @@ class TestEffectiveHamiltonian:
         H = build_effective_hamiltonian(3, omegas)
         s = from_amplitudes(3, TWO, random_state(rng, 8))
         dense = expm(-1j * H * theta) @ s.amplitudes
-        gate = apply_ideal_gate(s, PulseStep(2, G_R, theta))
+        gate = run_ideal(s, PulseStep(2, G_R, theta))
         assert np.abs(dense - gate.amplitudes).max() < 1e-12
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,6 +102,19 @@ class TestRunSweep:
         assert "exceeds the cap" in recs[1].error
         assert np.isnan([recs[1].mean_fidelity, recs[1].std_error, recs[1].fid_min]).all()
 
+    def test_capacity_failure_allocates_nothing_dense(self):
+        # 3^14 amplitudes would take 73 MB for the target alone
+        spec = make_spec(protocol=ProtocolKind.GHZ3, n_list=(14,), realizations=1)
+        tracemalloc.start()
+        try:
+            rec = run_sweep(spec)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isnan(rec.mean_fidelity)
+        assert "exceeds the cap" in rec.error
+        assert peak < 5e6
+
     def test_realization_warnings_reach_the_caller(self, monkeypatch):
         real = montecarlo.fidelity_pure
 
@@ -122,6 +136,31 @@ class TestRunSweep:
     def test_strictly_increasing_grid_enforced(self):
         with pytest.raises(ValueError):
             make_spec(grid=(5.0, 5.0))
+
+
+class TestSweepSpecShapeFields:
+    """A field the protocol ignores must keep its default."""
+
+    def test_ghz_with_dimer_and_transport_fields(self):
+        with pytest.raises(ValueError, match="z, alpha"):
+            SweepSpec(ProtocolKind.GHZ2, (3, 4), (6.9,), "iso", 5, 1, z=5.0, alpha=3.0)
+
+    @pytest.mark.parametrize("protocol,field,value", [
+        (ProtocolKind.GHZ2, "blockade_range", 2),
+        (ProtocolKind.GHZ3, "beta", 0.8),
+        (ProtocolKind.TRANSPORT, "z", 0.5),
+        (ProtocolKind.TRANSPORT, "blockade_range", 2),
+        (ProtocolKind.DIMER_MPS, "alpha", 0.6),
+        (ProtocolKind.DIMER_MPS, "beta", float("nan")),
+    ])
+    def test_ignored_field_rejected(self, protocol, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_spec(protocol=protocol, **{field: value})
+
+    @pytest.mark.parametrize("protocol", list(ProtocolKind))
+    def test_defaults_pass_for_every_protocol(self, protocol):
+        spec = make_spec(protocol=protocol, z=1.0, blockade_range=1, alpha=2**-0.5, beta=2**-0.5)
+        assert spec.protocol is protocol
 
 
 class TestDisorderPhysics:

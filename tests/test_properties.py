@@ -5,13 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydchain.dynamics import (
-    HamiltonianSpec,
-    PulseStep,
-    Transition,
-    apply_ideal_gate,
-    apply_realistic_pulse,
-)
+from conftest import run_ideal, run_realistic
+from rydchain.dynamics import HamiltonianSpec, PulseStep, Transition
 from rydchain.statekit import LevelScheme, from_amplitudes
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -48,7 +43,7 @@ def pulse_matrix(scheme, n, apply) -> np.ndarray:
 @given(chains())
 def test_realistic_pulse_is_unitary(chain):
     scheme, ham, omega, step = chain
-    U = pulse_matrix(scheme, ham.n_sites, lambda s: apply_realistic_pulse(s, step, ham, omega))
+    U = pulse_matrix(scheme, ham.n_sites, lambda s: run_realistic(s, step, ham, omega))
     assert np.abs(U.conj().T @ U - np.eye(len(U))).max() < 1e-12
 
 
@@ -79,8 +74,8 @@ def test_no_interaction_gives_independent_rotations(chain, omega, seed):
     free = HamiltonianSpec(np.zeros((n, n)))
     for site, theta in pulses:
         step = PulseStep(site, Transition.GROUND_RYDBERG, theta)
-        realistic = apply_realistic_pulse(realistic, step, free, omega)
-        ideal = apply_ideal_gate(ideal, step, blockade_radius=0)
+        realistic = run_realistic(realistic, step, free, omega)
+        ideal = run_ideal(ideal, step, blockade_radius=0)
         per_site[site - 1] = rotation(theta) @ per_site[site - 1]
     U = per_site[0]
     for R in per_site[1:]:

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import chain_hamiltonian, random_state
+from conftest import chain_hamiltonian, random_state, run_ideal
 from rydchain.dynamics import (
     HamiltonianSpec,
     InteractionRange,
     PulseStep,
     Transition,
-    apply_ideal_gate,
     build_full_hamiltonian,
 )
 from rydchain.protocols import (
     HyperfinePolicy,
     IdealBackend,
+    PostStep,
     ProtocolKind,
     ProtocolPlan,
     RealisticBackend,
@@ -46,6 +46,8 @@ from rydchain.targets import (
 
 TWO = LevelScheme.TWO_LEVEL
 THREE = LevelScheme.THREE_LEVEL
+G_R = Transition.GROUND_RYDBERG
+HYPERFINE = Transition.RYDBERG_HYPERFINE
 
 # closed-form angles for n=3, z=1: arctan(1), arctan(cos(pi/4)), arctan(sqrt(2/3))
 N3_Z1_ANGLES = (0.6847192030022829, 0.6154797086703873, 0.7853981633974483)
@@ -234,6 +236,30 @@ class TestTransportPlan:
             plan_transport(3, alpha, beta)
 
 
+class TestPlanValidation:
+    """A plan that a backend could not run as written raises when it is built."""
+
+    @pytest.mark.parametrize("steps,post", [
+        # a 1h step on a two-level chain was once skipped silently, leaving |100>
+        pytest.param(
+            (PulseStep(1, G_R, np.pi / 2), PulseStep(1, HYPERFINE, np.pi / 2)), (),
+            id="1h-on-two-level",
+        ),
+        pytest.param((PulseStep(4, G_R, np.pi / 2),), (), id="step-beyond-chain"),
+        pytest.param((), (PostStep(4, G_R, np.pi / 2),), id="post-beyond-chain"),
+    ])
+    def test_bad_plan_raises_when_built(self, steps, post):
+        with pytest.raises(ValueError):
+            ProtocolPlan(ProtocolKind.GHZ2, 3, TWO, steps, post)
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_every_dispatched_plan_builds(self, kind):
+        for n in range(2, 9):
+            plan = plan_for(kind, n)
+            assert plan.n_sites == n
+            assert max(s.site for s in (*plan.steps, *plan.post_steps)) <= n
+
+
 class TestPlanFor:
     def test_dispatch_matches_plan_functions(self):
         assert plan_for(ProtocolKind.GHZ2, 4) == plan_ghz(4, TWO)
@@ -307,7 +333,7 @@ class TestExecute:
     def test_ideal_backend_radius_zero_equals_stepwise_gates(self, plan):
         stepwise = initial_state(plan)
         for step in plan.steps:
-            stepwise = apply_ideal_gate(stepwise, step, blockade_radius=0)
+            stepwise = run_ideal(stepwise, step, blockade_radius=0)
         out = execute(plan, IdealBackend(blockade_radius=0))
         assert np.array_equal(out.amplitudes, stepwise.amplitudes)
         blockaded = execute(plan, IdealBackend(blockade_radius=1))

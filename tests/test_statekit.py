@@ -14,7 +14,6 @@ from rydchain.statekit import (
     encode_occupations,
     from_amplitudes,
     ground_state,
-    inner_product,
     reduce_to_site,
 )
 
@@ -47,35 +46,6 @@ class TestGroundState:
     def test_invalid_sites(self):
         with pytest.raises(ValueError):
             ground_state(0, TWO)
-
-
-class TestInnerProduct:
-    def test_self_overlap(self, rng):
-        s = from_amplitudes(3, TWO, random_state(rng, 8))
-        assert inner_product(s, s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_basis_states(self):
-        a = from_amplitudes(2, TWO, [1, 0, 0, 0])
-        b = from_amplitudes(2, TWO, [0, 1, 0, 0])
-        assert inner_product(a, b) == 0
-
-    def test_superposition(self):
-        a = from_amplitudes(1, TWO, [1, 0])
-        b = from_amplitudes(1, TWO, np.array([1, 1]) / np.sqrt(2))
-        assert inner_product(a, b) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
-    def test_conjugate_linear_in_first_argument(self, rng):
-        a = from_amplitudes(2, TWO, random_state(rng, 4))
-        b = from_amplitudes(2, TWO, random_state(rng, 4))
-        c = 0.3 - 0.8j
-        scaled = from_amplitudes(2, TWO, c * a.amplitudes)
-        assert inner_product(scaled, b) == pytest.approx(np.conj(c) * inner_product(a, b))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(ground_state(2, TWO), ground_state(3, TWO))
-        with pytest.raises(ValueError):
-            inner_product(ground_state(2, TWO), ground_state(2, THREE))
 
 
 class TestReduceToSite:

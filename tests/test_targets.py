@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import chain_hamiltonian, random_state
+from oracles import dimer_target_mps
 from rydchain.analytics import transport_two_atom_amplitudes
+from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import RealisticBackend, execute, plan_transport
 from rydchain.statekit import LevelScheme, basis_digits, from_amplitudes, reduce_to_site
 from rydchain.targets import (
     dimer_target_direct,
-    dimer_target_mps,
     fidelity_mixed_single_qubit,
     fidelity_pure,
     ghz_target,
@@ -35,8 +36,13 @@ class TestGhzTarget:
         assert ghz_target(6, THREE).norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_length_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             ghz_target(3, TWO)
+        assert record[0].filename == __file__  # pointed at the caller
+
+    def test_capacity_checked_before_allocation(self):
+        with pytest.raises(CapacityError, match="exceeds the cap"):
+            ghz_target(13, THREE)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -129,6 +135,15 @@ class TestFidelityPure:
                 from_amplitudes(3, TWO, random_state(rng, 8)),
             )
 
+    def test_excess_beyond_bound_raises(self):
+        s = from_amplitudes(1, TWO, [1.1, 0.0])  # |<s|s>|^2 = 1.4641
+        with pytest.raises(NumericalError):
+            fidelity_pure(s, s)
+
+    def test_rounding_excess_is_clipped(self):
+        s = from_amplitudes(1, TWO, [np.sqrt(1 + 4e-10), 0.0])
+        assert fidelity_pure(s, s) == 1.0
+
     def test_ghz_two_atom_value(self):
         """Realistic 2-atom GHZ output lands at |1+gamma|^2/4."""
         from rydchain.analytics import two_atom_coefficients
@@ -157,6 +172,18 @@ class TestFidelityMixed:
             fidelity_mixed_single_qubit(ket, np.array([[1.0, 0.5], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             fidelity_mixed_single_qubit(np.array([1.0, 1.0]), np.eye(2) / 2)
+
+    def test_excess_beyond_bound_raises(self):
+        # Hermitian with unit trace but not positive: <0|rho|0> = 1.5
+        with pytest.raises(NumericalError):
+            fidelity_mixed_single_qubit(np.array([1.0, 0.0]), np.diag([1.5, -0.5]))
+        with pytest.raises(NumericalError):
+            fidelity_mixed_single_qubit(np.array([0.0, 1.0]), np.diag([1.5, -0.5]))
+
+    def test_rounding_excess_is_clipped(self):
+        rho = np.diag([1 + 4e-10, -4e-10])
+        assert fidelity_mixed_single_qubit(np.array([1.0, 0.0]), rho) == 1.0
+        assert fidelity_mixed_single_qubit(np.array([0.0, 1.0]), rho) == 0.0
 
     def test_nan_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 The kernels act on raw amplitude arrays and run only through
 :func:`rydchain.protocols.execute`, whose plan has checked every site and
-transition when it was built.
+transition when it was built.  They address one atom through
+:func:`rydchain.statekit.site_view`, the one home of the basis layout.
 
 Rotation convention
 -------------------
@@ -38,12 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, NumericalError
-from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits
+from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits, site_view
 
 PI_HALF = np.pi / 2
 PI_QUARTER = np.pi / 4
@@ -118,39 +118,6 @@ class HamiltonianSpec:
         return len(self.couplings)
 
 
-# ---------------------------------------------------------------------------
-# index plumbing (cached per chain shape)
-
-@lru_cache(maxsize=256)
-def _pair_indices(n_sites: int, local_dim: int, site: int, lo: int, hi: int):
-    dig = basis_digits(n_sites, local_dim)
-    k = site - 1
-    stride = local_dim ** (n_sites - 1 - k)
-    sel_lo = np.where(dig[:, k] == lo)[0]
-    sel_hi = sel_lo + (hi - lo) * stride
-    for a in (sel_lo, sel_hi):
-        a.setflags(write=False)
-    return sel_lo, sel_hi
-
-
-@lru_cache(maxsize=256)
-def _free_mask(n_sites: int, local_dim: int, site: int, lo: int, hi: int, radius: int):
-    """Mask over the lo-index set: True where no neighbor within ``radius`` is Rydberg."""
-    if radius < 0:
-        raise ValueError("blockade radius must be >= 0")
-    dig = basis_digits(n_sites, local_dim)
-    sel_lo, _ = _pair_indices(n_sites, local_dim, site, lo, hi)
-    k = site - 1
-    blocked = np.zeros(len(sel_lo), dtype=bool)
-    for d in range(1, radius + 1):
-        for kk in (k - d, k + d):
-            if 0 <= kk < n_sites:
-                blocked |= dig[sel_lo, kk] == RYDBERG
-    free = ~blocked
-    free.setflags(write=False)
-    return free
-
-
 def interaction_diagonal(hamiltonian: HamiltonianSpec, local_dim: int) -> np.ndarray:
     """Diagonal of H for every basis configuration: pairwise interaction
     energy plus the detunings of the Rydberg-occupied sites."""
@@ -160,41 +127,55 @@ def interaction_diagonal(hamiltonian: HamiltonianSpec, local_dim: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# ideal constrained gate
+# per-site kernels on the (pre, level, post) view of statekit.site_view
+
+def _free_of_blockade(n_sites, local_dim, site, radius):
+    """(pre, post) mask, True where no neighbor within ``radius`` of ``site``
+    is Rydberg, or ``...`` (everything) when no neighbor lies that close."""
+    if radius == 0 or n_sites == 1:
+        return ...
+    occ = site_view(basis_digits(n_sites, local_dim), n_sites, local_dim, site)[:, GROUND]
+    near = occ[..., max(site - 1 - radius, 0) : site + radius]  # the site itself reads GROUND
+    return ~(near == RYDBERG).any(axis=-1)
+
 
 def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int):
     lo, hi = step.transition.levels
-    sel_lo, sel_hi = _pair_indices(n_sites, local_dim, step.site, lo, hi)
-    free = _free_mask(n_sites, local_dim, step.site, lo, hi, radius)
-    new = amp.copy()
+    view = site_view(amp, n_sites, local_dim, step.site)
+    free = _free_of_blockade(n_sites, local_dim, step.site, radius)
+    a_lo, a_hi = view[:, lo].copy()[free], view[:, hi].copy()[free]
+    new = view.copy()
     c, s = np.cos(step.theta), np.sin(step.theta)
-    a_lo, a_hi = amp[sel_lo[free]], amp[sel_hi[free]]
-    new[sel_lo[free]] = c * a_lo - s * a_hi
-    new[sel_hi[free]] = s * a_lo + c * a_hi
-    return new
+    new[:, lo][free] = c * a_lo - s * a_hi
+    new[:, hi][free] = s * a_lo + c * a_hi
+    return new.reshape(-1)
 
-
-# ---------------------------------------------------------------------------
-# realistic pulsed evolution
 
 def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
     lo, hi = step.transition.levels
     t = abs(step.theta) / (2.0 * omega)
     drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
-    sel_lo, sel_hi = _pair_indices(n_sites, local_dim, step.site, lo, hi)
-    # undriven levels of the addressed atom keep their diagonal phase
-    new = amp * np.exp(-1j * e_tot * t)
-    d_lo, d_hi = e_tot[sel_lo], e_tot[sel_hi]
+    view = site_view(amp, n_sites, local_dim, step.site)
+    if local_dim == 2:
+        new = np.empty_like(view)  # every amplitude lies in a driven pair
+    else:
+        # undriven levels of the addressed atom keep their diagonal phase
+        new = (amp * np.exp(-1j * e_tot * t)).reshape(view.shape)
+    # level-major copies, row k = level k in basis order: ufuncs cost more per
+    # call on the strided 2-D slices of the view than on one flat block
+    e_rows = e_tot.reshape(view.shape).transpose(1, 0, 2).reshape(local_dim, -1)
+    d_lo, d_hi = e_rows[lo], e_rows[hi]
     avg = 0.5 * (d_lo + d_hi)
     w = 0.5 * (d_hi - d_lo)
     b = np.hypot(drive, w)
     phase = np.exp(-1j * avg * t)
     c = np.cos(b * t)
     s = np.sin(b * t) / b
-    a_lo, a_hi = amp[sel_lo], amp[sel_hi]
-    new[sel_lo] = phase * ((c + 1j * w * s) * a_lo - drive * s * a_hi)
-    new[sel_hi] = phase * (drive * s * a_lo + (c - 1j * w * s) * a_hi)
-    return new
+    a_rows = view.transpose(1, 0, 2).reshape(local_dim, -1)
+    a_lo, a_hi = a_rows[lo], a_rows[hi]
+    new[:, lo] = (phase * ((c + 1j * w * s) * a_lo - drive * s * a_hi)).reshape(len(view), -1)
+    new[:, hi] = (phase * (drive * s * a_lo + (c - 1j * w * s) * a_hi)).reshape(len(view), -1)
+    return new.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +194,12 @@ def build_full_hamiltonian(hamiltonian: HamiltonianSpec, omega_per_site) -> np.n
     if 2**n > MAX_DENSE_DIM:
         raise CapacityError(f"dense Hamiltonian limited to dimension {MAX_DENSE_DIM}")
     omegas = np.broadcast_to(np.asarray(omega_per_site, dtype=float), (n,))
-    dig = basis_digits(n, 2)
     H = np.diag(interaction_diagonal(hamiltonian, 2)).astype(np.complex128)
+    index = np.arange(len(H))
     for k in range(n):
-        stride = 2 ** (n - 1 - k)
-        sel = np.where(dig[:, k] == GROUND)[0]
-        H[sel + stride, sel] += 2j * omegas[k]
-        H[sel, sel + stride] += -2j * omegas[k]
+        sel = site_view(index, n, 2, k + 1)
+        H[sel[:, RYDBERG], sel[:, GROUND]] += 2j * omegas[k]
+        H[sel[:, GROUND], sel[:, RYDBERG]] += -2j * omegas[k]
     return H
 
 

@@ -96,13 +96,12 @@ def _target_state(spec: SweepSpec, plan: ProtocolPlan) -> StateVector | None:
 
 def _one_realization(
     spec: SweepSpec,
-    n: int,
     grid_index: int,
     realization_index: int,
     plan: ProtocolPlan,
     target: StateVector | None,
 ) -> float:
-    ratio = spec.grid[grid_index]
+    n, ratio = plan.n_sites, spec.grid[grid_index]
     if spec.disorder.is_none:
         config = ideal_configuration(n, R0_DEFAULT)
     else:
@@ -113,19 +112,18 @@ def _one_realization(
         couplings = truncate_couplings(couplings, 1)
     final = execute(plan, RealisticBackend(HamiltonianSpec(couplings), omega=1.0))
     if target is None:
-        rho = reduce_to_site(final, plan.n_sites)
+        rho = reduce_to_site(final, n)
         return fidelity_mixed_single_qubit(np.array([spec.alpha, spec.beta]), rho)
     return fidelity_pure(target, final)
 
 
-def _cell(spec: SweepSpec, n: int, grid_index: int) -> SweepRecord:
+def _cell(spec: SweepSpec, plan: ProtocolPlan, grid_index: int) -> SweepRecord:
     reps = 1 if spec.disorder.is_none else spec.realizations
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
-        plan = plan_for(spec.protocol, n, spec.z, spec.blockade_range, spec.alpha, spec.beta)
         target = _target_state(spec, plan)
     values = np.array(
-        [_one_realization(spec, n, grid_index, i, plan, target) for i in range(reps)]
+        [_one_realization(spec, grid_index, i, plan, target) for i in range(reps)]
     )
     if spec.disorder.is_none:
         values = np.repeat(values, spec.realizations)
@@ -134,7 +132,7 @@ def _cell(spec: SweepSpec, n: int, grid_index: int) -> SweepRecord:
         std_err = float(values.std(ddof=1) / np.sqrt(spec.realizations))
     return SweepRecord(
         protocol=spec.protocol.value,
-        n=n,
+        n=plan.n_sites,
         v0_over_omega=spec.grid[grid_index],
         disorder=spec.disorder.kind,
         realizations=spec.realizations,
@@ -146,21 +144,24 @@ def _cell(spec: SweepSpec, n: int, grid_index: int) -> SweepRecord:
 
 
 def _cell_or_nan(args) -> SweepRecord:
-    spec, n, gi = args
+    spec, plan, gi = args
     try:
-        return _cell(spec, n, gi)
+        return _cell(spec, plan, gi)
     except CapacityError as exc:
         nan = float("nan")
         return SweepRecord(
-            spec.protocol.value, n, spec.grid[gi], spec.disorder.kind,
+            spec.protocol.value, plan.n_sites, spec.grid[gi], spec.disorder.kind,
             spec.realizations, nan, nan, nan, nan, error=str(exc),
         )
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
-    """All (n, grid) cells in canonical order; a cell over the capacity limit
-    becomes a NaN row carrying the error message rather than aborting the sweep."""
-    cells = [(spec, n, gi) for n in spec.n_list for gi in range(len(spec.grid))]
+    """All (n, grid) cells in canonical order, once every n has its plan (a bad n
+    raises before any cell runs); a cell over the capacity limit becomes a NaN
+    row carrying the error message rather than aborting the sweep."""
+    plans = [plan_for(spec.protocol, n, spec.z, spec.blockade_range, spec.alpha, spec.beta)
+             for n in spec.n_list]
+    cells = [(spec, plan, gi) for plan in plans for gi in range(len(spec.grid))]
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_cell_or_nan, cells))

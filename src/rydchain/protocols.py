@@ -34,7 +34,9 @@ from .dynamics import (
     pi_pulse,
 )
 from .errors import NumericalError
-from .statekit import LevelScheme, StateVector, check_norm, embed_initial_qubit, ground_state
+from .statekit import (
+    LevelScheme, StateVector, check_norm, check_qubit, embed_initial_qubit, ground_state,
+)
 
 
 class ProtocolKind(Enum):
@@ -66,8 +68,11 @@ class ProtocolPlan:
     beta: complex | None = None
 
     def __post_init__(self):
-        """Every step and post-step addresses a site of the chain, and a
-        hyperfine transfer needs the three-level scheme."""
+        """Every step and post-step addresses a site of the chain, a
+        hyperfine transfer needs the three-level scheme, and a transport plan
+        carries the normalized qubit it moves."""
+        if self.kind is ProtocolKind.TRANSPORT:
+            check_qubit(self.alpha, self.beta)
         three_level = self.scheme is LevelScheme.THREE_LEVEL
         for step in (*self.steps, *self.post_steps):
             if not 1 <= step.site <= self.n_sites:
@@ -186,8 +191,6 @@ def plan_transport(n_sites: int, alpha: complex, beta: complex) -> ProtocolPlan:
     """Move (alpha|0> + beta|1>) from site 1 to site N."""
     if n_sites < 2:
         raise ValueError("transport needs at least 2 sites")
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # a NaN fails too
-        raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     steps = []
     for k in range(1, n_sites):
         steps.append(pi_pulse(k + 1))
@@ -265,6 +268,8 @@ def execute(plan: ProtocolPlan, backend, initial: StateVector | None = None) -> 
     if isinstance(backend, IdealBackend):
         radius = backend.blockade_radius
         radius = plan.blockade_range if radius is None else radius
+        if radius < 0:
+            raise ValueError("blockade radius must be >= 0")
         for step in plan.steps:
             amp = _ideal_on_array(amp, n, dim, step, radius)
     elif isinstance(backend, RealisticBackend):

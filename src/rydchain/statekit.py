@@ -78,11 +78,16 @@ def require_capacity(n_sites: int, local_dim: int) -> int:
 def basis_digits(n_sites: int, local_dim: int) -> np.ndarray:
     """(dim, n_sites) table of site occupations for every basis index."""
     dim = require_capacity(n_sites, local_dim)
-    idx = np.arange(dim)
-    cols = [(idx // local_dim ** (n_sites - 1 - k)) % local_dim for k in range(n_sites)]
-    out = np.stack(cols, axis=1)
+    out = np.stack(np.unravel_index(np.arange(dim), (local_dim,) * n_sites), axis=1)
     out.setflags(write=False)
     return out
+
+
+def site_view(array: np.ndarray, n_sites: int, local_dim: int, site: int) -> np.ndarray:
+    """View of ``array`` (basis index on axis 0) shaped ``(d**(site-1), d,
+    d**(n_sites-site), ...)``: axis 1 is the level of ``site``."""
+    shape = (local_dim ** (site - 1), local_dim, local_dim ** (n_sites - site))
+    return array.reshape(shape + array.shape[1:])
 
 
 def encode_occupations(occupations, local_dim: int) -> int:
@@ -110,13 +115,18 @@ def from_amplitudes(n_sites: int, scheme: LevelScheme, amplitudes) -> StateVecto
     return StateVector(n_sites, scheme, amp)
 
 
+def check_qubit(alpha: complex | None, beta: complex | None) -> None:
+    """Raise ValueError unless alpha|0> + beta|1> is a normalized qubit."""
+    if alpha is None or beta is None or not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_TOL:
+        raise ValueError("|alpha|^2 + |beta|^2 must equal 1")  # None and NaN fail too
+
+
 def embed_initial_qubit(alpha: complex, beta: complex, n_sites: int) -> StateVector:
     """(alpha|0> + beta|1>) on site 1, all other atoms in |0>.
 
     The pair must be normalized already; nothing is silently rescaled.
     """
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_TOL:  # a NaN fails too
-        raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
+    check_qubit(alpha, beta)
     state = ground_state(n_sites, LevelScheme.TWO_LEVEL)
     amp = state.amplitudes
     amp[0] = alpha
@@ -130,9 +140,7 @@ def reduce_to_site(state: StateVector, site: int) -> np.ndarray:
         raise ValueError("single-qubit reduction is defined for two-level chains only")
     if not 1 <= site <= state.n_sites:
         raise IndexError(f"site {site} out of range 1..{state.n_sites}")
-    pre = 2 ** (site - 1)
-    post = 2 ** (state.n_sites - site)
-    m = state.amplitudes.reshape(pre, 2, post)
+    m = site_view(state.amplitudes, state.n_sites, 2, site)
     rho = np.einsum("iaj,ibj->ab", m, m.conj())
     return rho
 

@@ -33,6 +33,36 @@ def build_effective_hamiltonian(n_sites: int, omega_per_site) -> np.ndarray:
     return H
 
 
+def ideal_gate_by_index(amplitudes, n_sites, local_dim, site, levels, theta, radius):
+    """The ideal constrained rotation, one basis index at a time.
+
+    A configuration with ``site`` at level ``lo`` and no Rydberg atom within
+    ``radius`` sites of it mixes with its partner at level ``hi``:
+    |lo> -> cos|lo> + sin|hi>, |hi> -> cos|hi> - sin|lo>.  Occupations come
+    from repeated divmod (site 1 most significant), independently of the
+    package's layout helpers; chain ends count as empty.
+    """
+    amp = np.asarray(amplitudes, dtype=np.complex128)
+    out = amp.copy()
+    lo, hi = levels
+    c, s = np.cos(theta), np.sin(theta)
+    near = [k for k in range(site - radius, site + radius + 1) if k != site and 1 <= k <= n_sites]
+    for idx in range(len(amp)):
+        occ, rest = [], idx
+        for _ in range(n_sites):
+            rest, digit = divmod(rest, local_dim)
+            occ.insert(0, digit)
+        if occ[site - 1] != lo or any(occ[k - 1] == RYDBERG for k in near):
+            continue
+        occ[site - 1] = hi
+        partner = 0
+        for digit in occ:
+            partner = partner * local_dim + digit
+        out[idx] = c * amp[idx] - s * amp[partner]
+        out[partner] = s * amp[idx] + c * amp[partner]
+    return out
+
+
 def dimer_target_mps(n_sites: int, z: float) -> StateVector:
     """Range-1 dimer state built by contracting the bond-2 tensor chain.
 

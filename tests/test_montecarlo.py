@@ -115,6 +115,19 @@ class TestRunSweep:
         assert "exceeds the cap" in rec.error
         assert peak < 5e6
 
+    def test_bad_chain_length_raises_before_any_cell_runs(self, monkeypatch):
+        calls = []
+        real = montecarlo.execute
+
+        def counting_execute(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "execute", counting_execute)
+        with pytest.raises(ValueError, match="at least 2 sites"):
+            run_sweep(make_spec(n_list=(3, 1), disorder=disorder_preset("iso")))
+        assert calls == []
+
     def test_realization_warnings_reach_the_caller(self, monkeypatch):
         real = montecarlo.fidelity_pure
 

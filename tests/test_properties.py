@@ -1,11 +1,13 @@
 """Property tests of the pulse kernels: unitarity for random couplings and
-angles, and independent single-site rotations when nothing interacts."""
+angles, independent single-site rotations when nothing interacts, and the
+ideal gate against a per-index oracle."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_ideal, run_realistic
+from oracles import ideal_gate_by_index
 from rydchain.dynamics import HamiltonianSpec, PulseStep, Transition
 from rydchain.statekit import LevelScheme, from_amplitudes
 
@@ -83,3 +85,32 @@ def test_no_interaction_gives_independent_rotations(chain, omega, seed):
     expected = U @ start.amplitudes
     assert np.abs(realistic.amplitudes - expected).max() < 1e-12
     assert np.abs(ideal.amplitudes - expected).max() < 1e-12
+
+
+@SETTINGS
+@given(
+    st.sampled_from(list(LevelScheme)).flatmap(
+        lambda scheme: st.tuples(
+            st.just(scheme), st.integers(1, 6 if scheme is LevelScheme.TWO_LEVEL else 4)
+        )
+    ),
+    st.integers(0, 3),
+    angles,
+    st.integers(0, 2**32 - 1),
+)
+def test_ideal_gate_matches_per_index_oracle(chain, radius, theta, seed):
+    scheme, n = chain
+    d = scheme.local_dim
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+    start = from_amplitudes(n, scheme, amp / np.linalg.norm(amp))
+    transitions = [Transition.GROUND_RYDBERG]
+    if scheme is LevelScheme.THREE_LEVEL:
+        transitions.append(Transition.RYDBERG_HYPERFINE)
+    for site in range(1, n + 1):  # every site, the chain ends included
+        for transition in transitions:
+            out = run_ideal(start, PulseStep(site, transition, theta), blockade_radius=radius)
+            expected = ideal_gate_by_index(
+                start.amplitudes, n, d, site, transition.levels, theta, radius
+            )
+            assert np.abs(out.amplitudes - expected).max() < 1e-14

@@ -252,6 +252,17 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ProtocolPlan(ProtocolKind.GHZ2, 3, TWO, steps, post)
 
+    @pytest.mark.parametrize("alpha,beta", [
+        pytest.param(None, None, id="missing"),
+        pytest.param(1.0, None, id="beta-missing"),
+        pytest.param(np.nan, 0.5, id="nan"),
+        pytest.param(0.6, 0.9, id="not-normalized"),
+    ])
+    def test_transport_plan_needs_a_normalized_qubit(self, alpha, beta):
+        # a hand-built plan without alpha/beta once failed at run time with a bare TypeError
+        with pytest.raises(ValueError):
+            ProtocolPlan(ProtocolKind.TRANSPORT, 2, TWO, (), alpha=alpha, beta=beta)
+
     @pytest.mark.parametrize("kind", list(ProtocolKind))
     def test_every_dispatched_plan_builds(self, kind):
         for n in range(2, 9):

@@ -254,9 +254,9 @@ def estimate_n_max(
     (the dimer recursion runs from the chain end), so durations never
     decrease with N and a bisection over 2..n_cap finds the answer.
     """
-    if v0 <= 0 or omega <= 0:
+    if not v0 > 0 or not omega > 0:  # a NaN fails too
         raise ValueError("v0 and omega must be positive")
-    if tau_exp < 0:
+    if not tau_exp >= 0:
         raise ValueError("tau_exp must be nonnegative")
     z = 1.0 if z is None else z
 

@@ -42,12 +42,14 @@ def _fmt(x) -> str:
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Either "lo:hi:count" (inclusive linspace) or a comma list."""
+    """Either "lo:hi:count" (inclusive linspace, count >= 2) or a comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r}: expected lo:hi:count")
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 2:  # linspace would drop hi
+            raise ValueError(f"grid {text!r}: count must be >= 2; give one point as --grid {lo!r}")
         return tuple(float(v) for v in np.linspace(lo, hi, count))
     return tuple(float(v) for v in text.split(","))
 
@@ -184,6 +186,8 @@ def cmd_rk_check(args) -> int:
 
 def cmd_nmax(args) -> int:
     policy = HyperfinePolicy(args.policy)
+    if not args.ratio > 0:  # a NaN fails too
+        raise ValueError("--ratio must be positive")
     omega = args.v0 / args.ratio
     rows = [
         ("transport", estimate_n_max(ProtocolKind.TRANSPORT, args.v0, omega, args.tau_exp,

@@ -1,9 +1,13 @@
-"""Pulse kernels: constrained ideal rotations and exact pulsed evolution.
+"""Pulse kernel: constrained ideal rotations and exact pulsed evolution.
 
-The kernels act on raw amplitude arrays and run only through
-:func:`rydchain.protocols.execute`, whose plan has checked every site and
-transition when it was built.  They address one atom through
-:func:`rydchain.statekit.site_view`, the one home of the basis layout.
+One per-site kernel, :func:`_rotate_pairs`, writes every driven pair: for
+each frozen configuration of the other atoms it mixes the two driven levels
+of the addressed atom by a 2x2 matrix.  The ideal gate, the realistic pulse
+and the post-processing gates only compute that matrix.  The kernel acts on
+raw amplitude arrays and runs only through :func:`rydchain.protocols.execute`,
+whose plan has checked every site, transition and the blockade range when it
+was built.  It addresses one atom through :func:`rydchain.statekit.site_view`,
+the one home of the basis layout.
 
 Rotation convention
 -------------------
@@ -19,8 +23,9 @@ full transfer send |1> to -|1~>, which fixes the signs of the alternating
 entangled states the sequences produce.
 
 The ideal backend applies 1 - P_left P_right + P_left P_right exp(-i theta
-sigma_y), where the projectors require every neighbor within the blockade
-radius to be outside the Rydberg level; chain ends count as empty.
+sigma_y), where the projectors require every neighbor within the plan's
+blockade range to be outside the Rydberg level; chain ends count as empty.
+A blocked configuration gets the identity (cos = 1, sin = 0).
 
 The realistic backend evolves exactly under
 
@@ -127,55 +132,59 @@ def interaction_diagonal(hamiltonian: HamiltonianSpec, local_dim: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# per-site kernels on the (pre, level, post) view of statekit.site_view
+# the per-site kernel on the (pre, level, post) view of statekit.site_view
 
-def _free_of_blockade(n_sites, local_dim, site, radius):
-    """(pre, post) mask, True where no neighbor within ``radius`` of ``site``
-    is Rydberg, or ``...`` (everything) when no neighbor lies that close."""
-    if radius == 0 or n_sites == 1:
-        return ...
-    occ = site_view(basis_digits(n_sites, local_dim), n_sites, local_dim, site)[:, GROUND]
-    near = occ[..., max(site - 1 - radius, 0) : site + radius]  # the site itself reads GROUND
-    return ~(near == RYDBERG).any(axis=-1)
-
-
-def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int):
+def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, phase, c, ws, ds, rest):
+    """For every frozen configuration of the other atoms, mix the pair that
+    ``step`` drives by phase * [[c + i ws, -ds], [ds, c - i ws]] (scalars or flat
+    arrays over those configurations); a three-level chain passes its undriven
+    amplitudes as ``rest``, a fresh array that receives the pair."""
     lo, hi = step.transition.levels
     view = site_view(amp, n_sites, local_dim, step.site)
-    free = _free_of_blockade(n_sites, local_dim, step.site, radius)
-    a_lo, a_hi = view[:, lo].copy()[free], view[:, hi].copy()[free]
-    new = view.copy()
-    c, s = np.cos(step.theta), np.sin(step.theta)
-    new[:, lo][free] = c * a_lo - s * a_hi
-    new[:, hi][free] = s * a_lo + c * a_hi
+    new = np.empty_like(view) if rest is None else rest.reshape(view.shape)
+    # level-major copies, row k = level k in basis order: ufuncs cost more per
+    # call on the strided 2-D slices of the view than on one flat block
+    a_rows = view.transpose(1, 0, 2).reshape(local_dim, -1)
+    a_lo, a_hi = a_rows[lo], a_rows[hi]
+    new[:, lo] = (phase * ((c + 1j * ws) * a_lo - ds * a_hi)).reshape(len(view), -1)
+    new[:, hi] = (phase * (ds * a_lo + (c - 1j * ws) * a_hi)).reshape(len(view), -1)
     return new.reshape(-1)
+
+
+def _free_of_blockade(n_sites, local_dim, site, radius):
+    """Flat mask over the other atoms' configurations, True where no neighbor
+    within ``radius`` of ``site`` is Rydberg; True when no neighbor lies that close."""
+    if radius == 0 or n_sites == 1:
+        return True
+    occ = site_view(basis_digits(n_sites, local_dim), n_sites, local_dim, site)[:, GROUND]
+    near = occ[..., max(site - 1 - radius, 0) : site + radius]  # the site itself reads GROUND
+    return ~(near == RYDBERG).any(axis=-1).reshape(-1)
+
+
+def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int, phase=1):
+    """``phase`` times the theta rotation, which a blocked configuration skips."""
+    free = _free_of_blockade(n_sites, local_dim, step.site, radius)
+    c = np.where(free, np.cos(step.theta), 1.0)
+    s = np.where(free, np.sin(step.theta), 0.0)
+    rest = None if local_dim == 2 else amp * phase
+    return _rotate_pairs(amp, n_sites, local_dim, step, phase, c, 0.0, s, rest)
 
 
 def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
+    """Exact evolution of each closed 2x2 block for t = |theta| / (2 omega)."""
     lo, hi = step.transition.levels
     t = abs(step.theta) / (2.0 * omega)
     drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
-    view = site_view(amp, n_sites, local_dim, step.site)
-    if local_dim == 2:
-        new = np.empty_like(view)  # every amplitude lies in a driven pair
-    else:
-        # undriven levels of the addressed atom keep their diagonal phase
-        new = (amp * np.exp(-1j * e_tot * t)).reshape(view.shape)
-    # level-major copies, row k = level k in basis order: ufuncs cost more per
-    # call on the strided 2-D slices of the view than on one flat block
-    e_rows = e_tot.reshape(view.shape).transpose(1, 0, 2).reshape(local_dim, -1)
-    d_lo, d_hi = e_rows[lo], e_rows[hi]
+    # undriven levels of the addressed atom keep their diagonal phase
+    rest = None if local_dim == 2 else amp * np.exp(-1j * e_tot * t)
+    e_rows = site_view(e_tot, n_sites, local_dim, step.site).transpose(1, 0, 2)
+    d_lo, d_hi = e_rows[lo].reshape(-1), e_rows[hi].reshape(-1)
     avg = 0.5 * (d_lo + d_hi)
     w = 0.5 * (d_hi - d_lo)
     b = np.hypot(drive, w)
-    phase = np.exp(-1j * avg * t)
-    c = np.cos(b * t)
     s = np.sin(b * t) / b
-    a_rows = view.transpose(1, 0, 2).reshape(local_dim, -1)
-    a_lo, a_hi = a_rows[lo], a_rows[hi]
-    new[:, lo] = (phase * ((c + 1j * w * s) * a_lo - drive * s * a_hi)).reshape(len(view), -1)
-    new[:, hi] = (phase * (drive * s * a_lo + (c - 1j * w * s) * a_hi)).reshape(len(view), -1)
-    return new.reshape(-1)
+    return _rotate_pairs(amp, n_sites, local_dim, step, np.exp(-1j * avg * t), np.cos(b * t),
+                         w * s, drive * s, rest)
 
 
 # ---------------------------------------------------------------------------

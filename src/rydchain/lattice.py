@@ -30,7 +30,7 @@ class DisorderSpec:
     sigma: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.sigma) != 3 or any(s < 0 for s in self.sigma):
+        if len(self.sigma) != 3 or not all(s >= 0 for s in self.sigma):  # a NaN fails too
             raise ValueError("sigma must be three nonnegative widths")
 
     @property

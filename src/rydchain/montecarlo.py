@@ -56,6 +56,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        if not self.grid or not self.n_list:
+            raise ValueError("grid and n_list must each hold at least one value")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -159,6 +161,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """All (n, grid) cells in canonical order, once every n has its plan (a bad n
     raises before any cell runs); a cell over the capacity limit becomes a NaN
     row carrying the error message rather than aborting the sweep."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     plans = [plan_for(spec.protocol, n, spec.z, spec.blockade_range, spec.alpha, spec.beta)
              for n in spec.n_list]
     cells = [(spec, plan, gi) for plan in plans for gi in range(len(spec.grid))]

@@ -63,14 +63,16 @@ class ProtocolPlan:
     scheme: LevelScheme
     steps: tuple[PulseStep, ...]
     post_steps: tuple[PostStep, ...] = ()
-    blockade_range: int = 1  # the ideal backend's default radius
+    blockade_range: int = 1  # the ideal backend's blockade radius
     alpha: complex | None = None
     beta: complex | None = None
 
     def __post_init__(self):
         """Every step and post-step addresses a site of the chain, a
-        hyperfine transfer needs the three-level scheme, and a transport plan
-        carries the normalized qubit it moves."""
+        hyperfine transfer needs the three-level scheme, the blockade range is
+        not negative, and a transport plan carries the normalized qubit it moves."""
+        if not self.blockade_range >= 0:
+            raise ValueError("blockade_range must be >= 0")
         if self.kind is ProtocolKind.TRANSPORT:
             check_qubit(self.alpha, self.beta)
         three_level = self.scheme is LevelScheme.THREE_LEVEL
@@ -107,7 +109,7 @@ def mps_area_schedule(n_sites: int, z: float, blockade_range: int = 1) -> np.nda
     """Backward-recursion pulse angles A_1..A_N for the dimer target.
 
     For range 1 the result is cross-checked against the closed form; a
-    disagreement beyond 1e-12 raises.
+    disagreement beyond 1e-12, or a closed form that overflows to NaN, raises.
     """
     if blockade_range < 1:
         raise ValueError("blockade_range must be >= 1")
@@ -121,9 +123,10 @@ def mps_area_schedule(n_sites: int, z: float, blockade_range: int = 1) -> np.nda
         th[j] = np.arctan(z * np.prod(np.cos(th[j + 1 : j + 1 + r])))
     thetas = th[:n_sites]
     if r == 1:
-        ref = _closed_form_range1(n_sites, z)
+        with np.errstate(over="ignore", invalid="ignore"):  # |z| >~ 1e154 overflows
+            ref = _closed_form_range1(n_sites, z)
         err = np.abs(thetas - ref).max()
-        if err > 1e-12:
+        if not err <= 1e-12:  # a NaN fails too
             raise NumericalError(f"recursion disagrees with the closed form by {err:.2e}")
     return thetas
 
@@ -242,9 +245,7 @@ def initial_state(plan: ProtocolPlan) -> StateVector:
 
 @dataclass(frozen=True)
 class IdealBackend:
-    """Perfect-blockade gates; radius defaults to the plan's blockade range."""
-
-    blockade_radius: int | None = None
+    """Perfect-blockade gates within the plan's blockade range."""
 
 
 @dataclass(frozen=True)
@@ -266,12 +267,8 @@ def execute(plan: ProtocolPlan, backend, initial: StateVector | None = None) -> 
     amp = state.amplitudes.copy()
     n, dim = plan.n_sites, plan.scheme.local_dim
     if isinstance(backend, IdealBackend):
-        radius = backend.blockade_radius
-        radius = plan.blockade_range if radius is None else radius
-        if radius < 0:
-            raise ValueError("blockade radius must be >= 0")
         for step in plan.steps:
-            amp = _ideal_on_array(amp, n, dim, step, radius)
+            amp = _ideal_on_array(amp, n, dim, step, plan.blockade_range)
     elif isinstance(backend, RealisticBackend):
         if backend.hamiltonian.n_sites != n:
             raise ValueError("backend Hamiltonian does not match the plan")
@@ -282,8 +279,7 @@ def execute(plan: ProtocolPlan, backend, initial: StateVector | None = None) -> 
         raise TypeError(f"unknown backend {backend!r}")
     for post in plan.post_steps:
         step = PulseStep(post.site, post.transition, post.theta)
-        amp = _ideal_on_array(amp, n, dim, step, radius=0)
-        amp = amp * 1j ** (post.phase_quarter_turns % 4)
+        amp = _ideal_on_array(amp, n, dim, step, 0, 1j ** (post.phase_quarter_turns % 4))
     return check_norm(StateVector(n, plan.scheme, amp))
 
 
@@ -305,7 +301,7 @@ def protocol_duration(
     Hyperfine transfers run on an independent laser; by default they cost
     no blockade-limited time.  Post-processing gates are free.
     """
-    if omega <= 0:
+    if not omega > 0:  # a NaN fails too
         raise ValueError("omega must be positive")
     total = 0.0
     for step in plan.steps:

@@ -45,14 +45,15 @@ def random_state(rng, dim: int) -> np.ndarray:
     return amp / np.linalg.norm(amp)
 
 
-def run_steps(state, backend, *steps):
+def run_steps(state, backend, *steps, blockade_range=1):
     """``steps`` as a hand-built plan on ``state``'s chain, run by ``execute``."""
-    plan = ProtocolPlan(ProtocolKind.GHZ2, state.n_sites, state.scheme, steps)
+    plan = ProtocolPlan(ProtocolKind.GHZ2, state.n_sites, state.scheme, steps,
+                        blockade_range=blockade_range)
     return execute(plan, backend, initial=state)
 
 
-def run_ideal(state, step, blockade_radius=1):
-    return run_steps(state, IdealBackend(blockade_radius), step)
+def run_ideal(state, step, blockade_range=1):
+    return run_steps(state, IdealBackend(), step, blockade_range=blockade_range)
 
 
 def run_realistic(state, step, hamiltonian, omega):

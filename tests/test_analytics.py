@@ -230,3 +230,13 @@ class TestNMax:
             estimate_n_max(ProtocolKind.GHZ3, 0.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             estimate_n_max(ProtocolKind.GHZ3, 1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("v0,omega,tau", [
+        pytest.param(52.78, 7.6, np.nan, id="tau"),
+        pytest.param(52.78, np.nan, 2.0, id="omega"),
+        pytest.param(np.nan, 7.6, 2.0, id="v0"),
+    ])
+    def test_nan_input_rejected(self, v0, omega, tau):
+        # a NaN budget or drive once passed every guard and returned the cap, 1000
+        with pytest.raises(ValueError):
+            estimate_n_max(ProtocolKind.TRANSPORT, v0, omega, tau)

@@ -159,6 +159,30 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        pytest.param("--grid", "1:30:0", id="empty-grid"),
+        pytest.param("--grid", "1:30:1", id="one-point-range"),
+        pytest.param("--workers", "-3", id="negative-workers"),
+        pytest.param("--workers", "0", id="zero-workers"),
+    ])
+    def test_input_with_no_effect_exits_2(self, tmp_path, flag, value):
+        args = {"--grid": "6.9", "--workers": "1", flag: value}
+        code = run_cli(
+            "sweep", "--protocol", "ghz2", "--n", "2", "--realizations", "2",
+            *(item for pair in args.items() for item in pair), "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_dimer_cross_check_exits_3(self, tmp_path, capsys):
+        code = run_cli(
+            "sweep", "--protocol", "mps", "--z", "1e200", "--n", "4", "--grid", "15.5",
+            "--realizations", "2", "--out", str(tmp_path / "x"),
+        )
+        assert code == 3
+        assert "closed form" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMpsAreasCommand:
     def test_zero_z(self, tmp_path):
@@ -247,6 +271,18 @@ class TestNmaxCommand:
         assert set(values) == {"transport", "ghz", "mps_z1", "mps_z10"}
         assert all(int(v) >= 2 for v in values.values())
 
+    @pytest.mark.parametrize("flag,value", [
+        pytest.param("--tau-exp", "nan", id="nan-budget"),
+        pytest.param("--ratio", "nan", id="nan-ratio"),
+        pytest.param("--ratio", "0", id="zero-ratio"),
+        pytest.param("--ratio", "-6.9", id="negative-ratio"),
+    ])
+    def test_invalid_input_exits_2(self, capsys, flag, value):
+        # a NaN budget once printed =1000 on every row; --ratio 0 died in a ZeroDivisionError
+        args = {"--tau-exp": "2.0", "--v0": "52.78", "--ratio": "6.9", flag: value}
+        assert run_cli("nmax", *(item for pair in args.items() for item in pair)) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestExitCodeMapping:
     def test_capacity_maps_to_4(self, monkeypatch, capsys):
@@ -270,3 +306,7 @@ def test_grid_parsing():
     assert lin == (0.0, 2.5, 5.0, 7.5, 10.0)
     with pytest.raises(ValueError):
         cli.parse_grid("1:2")
+    # one point from a range would silently drop hi; it is written "--grid 1"
+    for count in (1, 0, -2):
+        with pytest.raises(ValueError, match="count must be >= 2"):
+            cli.parse_grid(f"1:30:{count}")

@@ -96,14 +96,14 @@ class TestIdealGate:
 
     def test_blockade_radius_two(self):
         # |1 0 0>: site 3 is blocked at radius 2 but free at radius 1
-        frozen = run_ideal(basis(3, 0b100), pi_pulse(3), blockade_radius=2)
+        frozen = run_ideal(basis(3, 0b100), pi_pulse(3), blockade_range=2)
         assert frozen.amplitudes[0b100] == 1.0
-        flipped = run_ideal(basis(3, 0b100), pi_pulse(3), blockade_radius=1)
+        flipped = run_ideal(basis(3, 0b100), pi_pulse(3), blockade_range=1)
         assert abs(flipped.amplitudes[0b101]) == pytest.approx(1.0)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            run_ideal(basis(3, 0), pi_pulse(2), blockade_radius=-1)
+            run_ideal(basis(3, 0), pi_pulse(2), blockade_range=-1)
 
     def test_hyperfine_needs_three_levels(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,11 @@ class TestDisorder:
         with pytest.raises(ValueError):
             DisorderSpec((-0.1, 0, 0))
 
+    def test_nan_width_rejected(self):
+        # once accepted and labelled "aniso"
+        with pytest.raises(ValueError):
+            DisorderSpec((float("nan"), 0.12, 0.12))
+
     def test_zero_width_is_ideal(self):
         n, r0 = 4, 4.1
         pos = sample_configuration(n, r0, DisorderSpec((0, 0, 0)), seed=3)

@@ -150,6 +150,18 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             make_spec(grid=(5.0, 5.0))
 
+    @pytest.mark.parametrize("field", ["grid", "n_list"])
+    def test_empty_axis_rejected(self, field):
+        # an empty grid once gave a sweep of no cells and a header-only CSV
+        with pytest.raises(ValueError, match="at least one value"):
+            make_spec(**{field: ()})
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        # -3 once ran serially while the manifest recorded workers=-3
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(make_spec(n_list=(2,)), workers=workers)
+
 
 class TestSweepSpecShapeFields:
     """A field the protocol ignores must keep its default."""

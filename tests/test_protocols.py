@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from rydchain.dynamics import (
     Transition,
     build_full_hamiltonian,
 )
+from rydchain.errors import NumericalError
 from rydchain.protocols import (
     HyperfinePolicy,
     IdealBackend,
@@ -156,6 +158,12 @@ class TestAreaSchedule:
         with pytest.raises(ValueError):
             mps_area_schedule(3, 1.0, 0)
 
+    @pytest.mark.parametrize("z", [1e200, -1e200])
+    def test_overflowing_cross_check_fails_closed(self, z):
+        # 4 z^2 overflows, the closed form turns NaN, and a NaN error once passed
+        with pytest.raises(NumericalError, match="closed form"):
+            plan_dimer_mps(4, z)
+
     def test_long_chain_stays_finite(self):
         # the closed-form cross-check must not overflow on long chains
         sched = mps_area_schedule(500, 10.0)
@@ -252,6 +260,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ProtocolPlan(ProtocolKind.GHZ2, 3, TWO, steps, post)
 
+    @pytest.mark.parametrize("blockade_range", [-1, np.nan])
+    def test_negative_blockade_range_raises_when_built(self, blockade_range):
+        # the range is the ideal backend's radius; a negative one once waited for execute
+        with pytest.raises(ValueError, match="blockade_range"):
+            ProtocolPlan(ProtocolKind.GHZ2, 3, TWO, (), blockade_range=blockade_range)
+
     @pytest.mark.parametrize("alpha,beta", [
         pytest.param(None, None, id="missing"),
         pytest.param(1.0, None, id="beta-missing"),
@@ -344,15 +358,15 @@ class TestExecute:
     def test_ideal_backend_radius_zero_equals_stepwise_gates(self, plan):
         stepwise = initial_state(plan)
         for step in plan.steps:
-            stepwise = run_ideal(stepwise, step, blockade_radius=0)
-        out = execute(plan, IdealBackend(blockade_radius=0))
+            stepwise = run_ideal(stepwise, step, blockade_range=0)
+        out = execute(dataclasses.replace(plan, blockade_range=0), IdealBackend())
         assert np.array_equal(out.amplitudes, stepwise.amplitudes)
-        blockaded = execute(plan, IdealBackend(blockade_radius=1))
+        blockaded = execute(dataclasses.replace(plan, blockade_range=1), IdealBackend())
         assert not np.allclose(out.amplitudes, blockaded.amplitudes)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            execute(plan_ghz(3, TWO), IdealBackend(blockade_radius=-1))
+            dataclasses.replace(plan_ghz(3, TWO), blockade_range=-1)
 
     def test_backend_hamiltonian_mismatch(self):
         with pytest.raises(ValueError):
@@ -391,4 +405,8 @@ class TestDuration:
     def test_invalid_omega(self):
         with pytest.raises(ValueError):
             protocol_duration(plan_ghz(2, TWO), 0.0)
+
+    def test_nan_omega_rejected(self):
+        with pytest.raises(ValueError):
+            protocol_duration(plan_ghz(2, TWO), np.nan)
 

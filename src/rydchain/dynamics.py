@@ -38,12 +38,20 @@ frozen configuration of the others, whose interaction and detuning energy
 only accumulate their diagonal phase.  The matrix element 2 Omega together
 with t = theta / (2 Omega) is the unique pairing that makes a free pulse a
 theta rotation and reproduces the closed-form two-atom amplitudes.
+
+The kernel acts on an m-site prefix of the chain whenever the sites past m
+are all |0> (see :mod:`rydchain.protocols`): it receives m as ``n_sites``
+and the matching slice of the diagonal, and never sees the untouched tail.
+The diagonal itself (:func:`interaction_diagonal`) is the quadratic form
+n^T M n, M = V/2 + diag(Delta), summed from small tables of the two
+half-chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,12 +131,56 @@ class HamiltonianSpec:
         return len(self.couplings)
 
 
+#: Chains with at least this many amplitudes split for their diagonal; below
+#: it one pair table of the whole chain costs less than the split's extra
+#: numpy calls (measured crossover between 729 and 1024 amplitudes).
+SPLIT_AMPLITUDES = 1024
+
+
 def interaction_diagonal(hamiltonian: HamiltonianSpec, local_dim: int) -> np.ndarray:
     """Diagonal of H for every basis configuration: pairwise interaction
-    energy plus the detunings of the Rydberg-occupied sites."""
-    occ = (basis_digits(hamiltonian.n_sites, local_dim) == RYDBERG).astype(float)
-    pairs = 0.5 * np.einsum("ij,jk,ik->i", occ, hamiltonian.couplings, occ)
-    return pairs + occ @ hamiltonian.detuning
+    energy plus the detunings of the Rydberg-occupied sites.
+
+    Occupations are 0 or 1, so n_k^2 = n_k and the diagonal is the quadratic
+    form n^T M n with M = V/2 + diag(Delta).  With the chain split into halves
+    A and B (index = x_A d^|B| + x_B),
+
+        e(x_A, x_B) = q_A(x_A) + q_B(x_B) + n_A(x_A) (M + M^T) n_B(x_B),
+
+    where q_H = n_H^T M n_H contracts each half's pair table with M, so no
+    (d^N, N) occupation table is built.  A chain below SPLIT_AMPLITUDES keeps
+    A empty: e = q_B.
+    """
+    occ_a, pairs_a, pairs_b, occ_b_t = _half_tables(hamiltonian.n_sites, local_dim)
+    M = 0.5 * hamiltonian.couplings + np.diag(hamiltonian.detuning)
+    m = M.ravel()
+    q_b = pairs_b @ m
+    if len(occ_a) == 1:  # A is empty
+        return q_b
+    e = occ_a @ (M + M.T) @ occ_b_t
+    e += (pairs_a @ m)[:, None]
+    e += q_b
+    return e.reshape(-1)
+
+
+@lru_cache(maxsize=64)
+def _half_tables(n_sites: int, local_dim: int):
+    """Read-only tables over the configurations of the halves A (sites
+    1..n//2, or no site below SPLIT_AMPLITUDES) and B (the rest), one column per
+    site of the whole chain and zero outside the half: the Rydberg occupations
+    n_k and the pair products n_j n_k flattened over (j, k).  Returns
+    (occ_A, pairs_A, pairs_B, occ_B^T)."""
+    half = n_sites // 2 if local_dim**n_sites >= SPLIT_AMPLITUDES else 0
+    tables = []
+    for lo, hi in ((0, half), (half, n_sites)):
+        occ = np.zeros((local_dim ** (hi - lo), n_sites))
+        occ[:, lo:hi] = basis_digits(hi - lo, local_dim) == RYDBERG
+        tables.append((occ, (occ[:, :, None] * occ[:, None, :]).reshape(len(occ), -1)))
+    (occ_a, pairs_a), (occ_b, pairs_b) = tables
+    out = (occ_a, pairs_a, pairs_b, np.ascontiguousarray(occ_b.T))
+    for table in out:
+        table.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +205,21 @@ def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, phase, c, ws, ds, re
 
 def _free_of_blockade(n_sites, local_dim, site, radius):
     """Flat mask over the other atoms' configurations, True where no neighbor
-    within ``radius`` of ``site`` is Rydberg; True when no neighbor lies that close."""
-    if radius == 0 or n_sites == 1:
+    within ``radius`` of ``site`` is Rydberg; True when no neighbor lies that close.
+    Built from the two neighbor windows alone, never from a whole-chain table."""
+    left, right = min(radius, site - 1), min(radius, n_sites - site)
+    if left + right == 0:
         return True
-    occ = site_view(basis_digits(n_sites, local_dim), n_sites, local_dim, site)[:, GROUND]
-    near = occ[..., max(site - 1 - radius, 0) : site + radius]  # the site itself reads GROUND
-    return ~(near == RYDBERG).any(axis=-1).reshape(-1)
+    # site 1 is the most significant digit: the left window is the last digits of
+    # the configurations before the site, the right window the first digits after it
+    before = np.tile(_none_rydberg(left, local_dim), local_dim ** (site - 1 - left))
+    after = np.repeat(_none_rydberg(right, local_dim), local_dim ** (n_sites - site - right))
+    return (before[:, None] & after).reshape(-1)
+
+
+def _none_rydberg(n_sites, local_dim):
+    """Per configuration of ``n_sites`` atoms, True where none is Rydberg."""
+    return ~(basis_digits(n_sites, local_dim) == RYDBERG).any(axis=1)
 
 
 def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int, phase=1):

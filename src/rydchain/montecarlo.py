@@ -120,28 +120,31 @@ def _one_realization(
 
 
 def _cell(spec: SweepSpec, plan: ProtocolPlan, grid_index: int) -> SweepRecord:
-    reps = 1 if spec.disorder.is_none else spec.realizations
+    """One (n, grid) cell; a disorder-free cell runs once and reports that
+    value exactly, as mean, min and max, with zero standard error."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
         target = _target_state(spec, plan)
-    values = np.array(
-        [_one_realization(spec, grid_index, i, plan, target) for i in range(reps)]
-    )
-    if spec.disorder.is_none:
-        values = np.repeat(values, spec.realizations)
     std_err = 0.0
-    if spec.realizations > 1:
-        std_err = float(values.std(ddof=1) / np.sqrt(spec.realizations))
+    if spec.disorder.is_none:
+        mean = lo = hi = _one_realization(spec, grid_index, 0, plan, target)
+    else:
+        values = np.array(
+            [_one_realization(spec, grid_index, i, plan, target) for i in range(spec.realizations)]
+        )
+        mean, lo, hi = float(values.mean()), float(values.min()), float(values.max())
+        if spec.realizations > 1:
+            std_err = float(values.std(ddof=1) / np.sqrt(spec.realizations))
     return SweepRecord(
         protocol=spec.protocol.value,
         n=plan.n_sites,
         v0_over_omega=spec.grid[grid_index],
         disorder=spec.disorder.kind,
         realizations=spec.realizations,
-        mean_fidelity=float(values.mean()),
+        mean_fidelity=mean,
         std_error=std_err,
-        fid_min=float(values.min()),
-        fid_max=float(values.max()),
+        fid_min=lo,
+        fid_max=hi,
     )
 
 

@@ -4,6 +4,10 @@ Basis convention: a product state |i_1 i_2 ... i_N> is stored at the index
 whose base-d digits are the site occupations, site 1 being the most
 significant digit (d = 2 or 3).  Level labels are GROUND = 0, RYDBERG = 1
 and HYPERFINE = 2; only the Rydberg level interacts.
+
+In this layout a chain whose sites past m are all |0> keeps its m-site
+amplitudes at every d**(n-m)-th index: :func:`ground_tail` reads them and
+:func:`append_ground` writes them back out.
 """
 
 from __future__ import annotations
@@ -76,9 +80,11 @@ def require_capacity(n_sites: int, local_dim: int) -> int:
 
 @lru_cache(maxsize=64)
 def basis_digits(n_sites: int, local_dim: int) -> np.ndarray:
-    """(dim, n_sites) table of site occupations for every basis index."""
+    """(dim, n_sites) table of site occupations for every basis index; zero
+    sites have one configuration, an empty row."""
     dim = require_capacity(n_sites, local_dim)
-    out = np.stack(np.unravel_index(np.arange(dim), (local_dim,) * n_sites), axis=1)
+    place = local_dim ** np.arange(n_sites - 1, -1, -1)  # site 1 most significant
+    out = np.arange(dim)[:, None] // place % local_dim
     out.setflags(write=False)
     return out
 
@@ -88,6 +94,20 @@ def site_view(array: np.ndarray, n_sites: int, local_dim: int, site: int) -> np.
     d**(n_sites-site), ...)``: axis 1 is the level of ``site``."""
     shape = (local_dim ** (site - 1), local_dim, local_dim ** (n_sites - site))
     return array.reshape(shape + array.shape[1:])
+
+
+def ground_tail(array: np.ndarray, n_sites: int, local_dim: int, prefix_sites: int) -> np.ndarray:
+    """Strided view of the entries of ``array`` (basis index on axis 0) whose
+    sites past ``prefix_sites`` are all |0>, in the prefix's basis order."""
+    return array[:: local_dim ** (n_sites - prefix_sites)]
+
+
+def append_ground(amp: np.ndarray, local_dim: int, sites: int) -> np.ndarray:
+    """``amp`` (x) |0...0>: the amplitudes of a chain extended by ``sites``
+    atoms in |0> after its last site (zeros interleaved)."""
+    out = np.zeros((len(amp), local_dim**sites), dtype=amp.dtype)
+    out[:, GROUND] = amp
+    return out.reshape(-1)
 
 
 def encode_occupations(occupations, local_dim: int) -> int:

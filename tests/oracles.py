@@ -63,6 +63,31 @@ def ideal_gate_by_index(amplitudes, n_sites, local_dim, site, levels, theta, rad
     return out
 
 
+def interaction_energy_by_index(couplings, detuning, n_sites, local_dim):
+    """sum_{k<m} V_km n_k n_m + sum_k Delta_k n_k, one basis index at a time.
+
+    Dense oracle for :func:`rydchain.dynamics.interaction_diagonal` with
+    symmetric couplings.  Occupations come from repeated divmod (site 1 most
+    significant), and only Rydberg-occupied sites enter the pair sum.
+    """
+    V = np.asarray(couplings, dtype=float)
+    delta = np.asarray(detuning, dtype=float)
+    out = np.empty(local_dim**n_sites)
+    for idx in range(len(out)):
+        occupied, rest = [], idx
+        for site in range(n_sites - 1, -1, -1):
+            rest, digit = divmod(rest, local_dim)
+            if digit == RYDBERG:
+                occupied.append(site)
+        energy = 0.0
+        for i, k in enumerate(occupied):
+            energy += delta[k]
+            for m in occupied[i + 1 :]:
+                energy += V[k, m]
+        out[idx] = energy
+    return out
+
+
 def dimer_target_mps(n_sites: int, z: float) -> StateVector:
     """Range-1 dimer state built by contracting the bond-2 tensor chain.
 

@@ -1,16 +1,24 @@
 """Property tests of the pulse kernel: unitarity for random couplings and
 angles, independent single-site rotations when nothing interacts, the ideal
-gate against a per-index oracle, and the realistic backend approaching the
-ideal one as V0/Omega grows."""
+gate and the interaction diagonal against per-index oracles, the realistic
+backend approaching the ideal one as V0/Omega grows, and the growing-prefix
+execution equal to the full-width one."""
+
+import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_hamiltonian, run_ideal, run_realistic
-from oracles import ideal_gate_by_index
-from rydchain.dynamics import HamiltonianSpec, InteractionRange, PulseStep, Transition
-from rydchain.protocols import IdealBackend, ProtocolKind, RealisticBackend, execute, plan_for
+from oracles import ideal_gate_by_index, interaction_energy_by_index
+from rydchain.dynamics import (
+    HamiltonianSpec, InteractionRange, PulseStep, Transition, interaction_diagonal,
+)
+from rydchain.lattice import R0_DEFAULT, coupling_matrix, disorder_preset, sample_configuration
+from rydchain.protocols import (
+    IdealBackend, ProtocolKind, RealisticBackend, execute, initial_state, plan_for,
+)
 from rydchain.statekit import LevelScheme, from_amplitudes
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -138,3 +146,47 @@ def test_realistic_approaches_ideal_as_interaction_grows(case, n, log_ratio, z):
     realistic = execute(plan, RealisticBackend(chain_hamiltonian(n, ratio, interaction_range), 1.0))
     infidelity = 1.0 - abs(np.vdot(ideal.amplitudes, realistic.amplitudes)) ** 2
     assert infidelity <= 1.0 / ratio  # worst seen on a 40-ratio grid per N: 0.64 / ratio
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 10), st.integers(0, 2**32 - 1))
+@example(2, 1, 0)
+@example(2, 10, 1)  # the smallest split chain
+@example(3, 6, 2)  # the largest unsplit one
+@example(3, 10, 3)
+def test_interaction_diagonal_matches_per_index_oracle(local_dim, n, seed):
+    rng = np.random.default_rng(seed)
+    V = np.triu(rng.uniform(0.0, 50.0, (n, n)), 1)
+    V = V + V.T
+    detuning = rng.uniform(-10.0, 10.0, n)
+    e = interaction_diagonal(HamiltonianSpec(V, detuning), local_dim)
+    expected = interaction_energy_by_index(V, detuning, n, local_dim)
+    assert np.abs(e - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(list(ProtocolKind)),
+    st.integers(2, 10),
+    st.sampled_from(["iso", "aniso"]),
+    st.floats(1.0, 40.0),
+    st.booleans(),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_prefix_execution_equals_full_width(kind, n, disorder, ratio, realistic, radius, seed):
+    if kind is ProtocolKind.GHZ3:
+        n = min(n, 8)
+    rng = np.random.default_rng(seed)
+    plan = plan_for(kind, n, z=float(rng.uniform(-3.0, 3.0)))
+    if realistic:
+        config = sample_configuration(n, R0_DEFAULT, disorder_preset(disorder), seed)
+        detuning = rng.uniform(-2.0, 2.0, n)
+        backend = RealisticBackend(
+            HamiltonianSpec(coupling_matrix(config, ratio, R0_DEFAULT), detuning), 1.0
+        )
+    else:
+        plan, backend = dataclasses.replace(plan, blockade_range=radius), IdealBackend()
+    prefix = execute(plan, backend)
+    full = execute(plan, backend, initial=initial_state(plan))
+    assert np.abs(prefix.amplitudes - full.amplitudes).max() <= 1e-14

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, random_state, run_ideal
+from rydchain import protocols
 from rydchain.dynamics import (
     HamiltonianSpec,
     InteractionRange,
@@ -13,7 +15,7 @@ from rydchain.dynamics import (
     Transition,
     build_full_hamiltonian,
 )
-from rydchain.errors import NumericalError
+from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import (
     HyperfinePolicy,
     IdealBackend,
@@ -164,6 +166,26 @@ class TestAreaSchedule:
         with pytest.raises(NumericalError, match="closed form"):
             plan_dimer_mps(4, z)
 
+    @pytest.mark.parametrize("z", [1e5, 1e6, 1e8, -1e8])
+    def test_large_z_passes_the_conditioned_cross_check(self, z):
+        # a fixed 1e-12 tolerance refused these: 1 - q^m cancels as q nears -1
+        sched = mps_area_schedule(6, z)
+        assert np.abs(sched - mps_area_schedule_polynomial(6, z)).max() < 1e-8
+        assert np.all(np.sign(sched) == np.sign(z))
+
+    @pytest.mark.parametrize("z", [1.0, 1e5, 1e8])
+    def test_cross_check_catches_a_perturbed_angle(self, z, monkeypatch):
+        closed_form = protocols._closed_form_range1
+
+        def perturbed(n_sites, z):
+            ref = closed_form(n_sites, z)
+            ref[2] += 1e-6
+            return ref
+
+        monkeypatch.setattr(protocols, "_closed_form_range1", perturbed)
+        with pytest.raises(NumericalError, match="closed form"):
+            mps_area_schedule(6, z)
+
     def test_long_chain_stays_finite(self):
         # the closed-form cross-check must not overflow on long chains
         sched = mps_area_schedule(500, 10.0)
@@ -302,6 +324,24 @@ class TestPlanFor:
 
 
 class TestExecute:
+    @pytest.mark.parametrize("plan", [
+        plan_transport(25, 0.6, 0.8), plan_ghz(21, TWO), plan_ghz(13, THREE),
+    ], ids=lambda plan: f"{plan.kind.value}{plan.n_sites}")
+    @pytest.mark.parametrize("realistic", [False, True], ids=["ideal", "realistic"])
+    def test_over_capacity_raises_before_allocating(self, plan, realistic):
+        # the prefix starts small, so the gate must not wait for a full-width array
+        backend = IdealBackend()
+        if realistic:
+            backend = RealisticBackend(chain_hamiltonian(plan.n_sites, 10.0), 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="exceeds the cap"):
+                execute(plan, backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a 2^20-amplitude state alone takes 16 MiB
+
     def test_realistic_backend_honours_detuning(self, rng):
         theta = 1.234
         ham = HamiltonianSpec(chain_hamiltonian(3, 3.7).couplings, [0.9, -1.7, 2.3])

@@ -137,8 +137,8 @@ class RkPoint:
 def rk_point(v0: float, omega: float) -> RkPoint:
     """Detuning and dimer parameter of the exactly solvable manifold:
     Delta = 2^6 Omega^2 / V0 - 3 V0 / 2^6 and z = -V0 / (2^6 Omega)."""
-    if v0 <= 0 or omega <= 0:
-        raise ValueError("v0 and omega must be positive")
+    if not (0 < v0 < np.inf and 0 < omega < np.inf):  # a NaN fails too
+        raise ValueError("v0 and omega must be finite and positive")
     return RkPoint(delta=64.0 * omega**2 / v0 - 3.0 * v0 / 64.0, z=-v0 / (64.0 * omega))
 
 
@@ -167,10 +167,8 @@ def rk_ground_state_overlap(
     drive phase is rotated out per excitation before comparing with the
     real-amplitude dimer state.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     v0 = v0_over_omega * omega
-    point = rk_point(v0, omega)
+    point = rk_point(v0, omega)  # checks both before H is built
     v_nnn = v0 / 64.0
     base = np.zeros((n_sites, n_sites))
     for i in range(n_sites):
@@ -188,7 +186,7 @@ def rk_ground_state_overlap(
     target = dimer_target_direct(n_sites, point.z)
     n_exc = (basis_digits(n_sites, 2) == RYDBERG).sum(axis=1)
     aligned = (-1j) ** n_exc * gs
-    overlap = float(abs(np.vdot(target.amplitudes, aligned)) ** 2)
+    overlap = float(abs(np.vdot(target, aligned)) ** 2)
     return RkOverlapResult(point.delta, point.z, energy, overlap)
 
 

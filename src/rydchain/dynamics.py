@@ -109,7 +109,9 @@ class HamiltonianSpec:
     """Couplings V_km and per-site detunings Delta_k of the diagonal part of H.
 
     Every coupling is used as given; a shorter interaction range is
-    expressed by zeroing couplings before building the spec.
+    expressed by zeroing couplings before building the spec.  V must be
+    symmetric (V_km = V_mk to a relative 1e-12): the diagonal of H sees only
+    V_km + V_mk, so an asymmetric V would have no effect of its own.
     """
 
     couplings: np.ndarray
@@ -119,6 +121,9 @@ class HamiltonianSpec:
         V = np.asarray(self.couplings, dtype=float)
         if V.ndim != 2 or V.shape[0] != V.shape[1]:
             raise ValueError("couplings must be a square matrix")
+        asymmetry = np.abs(V - V.T)
+        if asymmetry.size and not asymmetry.max() <= 1e-12 * np.abs(V).max():  # a NaN fails too
+            raise ValueError("couplings must be finite and symmetric")
         object.__setattr__(self, "couplings", V)
         det = self.detuning
         det = np.zeros(len(V)) if det is None else np.asarray(det, dtype=float)
@@ -253,6 +258,10 @@ def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
 
 MAX_DENSE_DIM = 4096
 
+#: Rows per block of the hermiticity check in ground_state_dense: it then
+#: holds block x dim temporaries instead of several dim x dim ones.
+HERMITICITY_BLOCK_ROWS = 64
+
 
 def build_full_hamiltonian(hamiltonian: HamiltonianSpec, omega_per_site) -> np.ndarray:
     """Dense two-level Hamiltonian: drives 2*omega_k sigma_y plus diagonal terms.
@@ -281,9 +290,16 @@ def ground_state_dense(H: np.ndarray) -> tuple[float, np.ndarray]:
     dim = H.shape[0]
     if dim > MAX_DENSE_DIM:
         raise CapacityError(f"dense diagonalization limited to dimension {MAX_DENSE_DIM}")
-    scale = max(np.abs(H).max(), 1.0)
-    if np.abs(H - H.conj().T).max() > 1e-10 * scale:
-        raise ValueError("H is not Hermitian")
+    scale, err = 1.0, 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN, which fails below
+        for i in range(0, dim, HERMITICITY_BLOCK_ROWS):
+            rows = H[i : i + HERMITICITY_BLOCK_ROWS]
+            cols = H[:, i : i + HERMITICITY_BLOCK_ROWS]
+            # np.maximum keeps a NaN where max() would drop it
+            scale = np.maximum(scale, np.abs(rows).max())
+            err = np.maximum(err, np.abs(rows - cols.conj().T).max())
+    if not err <= 1e-10 * scale:  # a NaN fails too
+        raise ValueError("H is not Hermitian or not finite")
     evals, evecs = np.linalg.eigh(H)
     energy = float(evals[0])
     vec = evecs[:, 0]

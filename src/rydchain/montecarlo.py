@@ -28,7 +28,7 @@ from .lattice import (
     truncate_couplings,
 )
 from .protocols import ProtocolKind, ProtocolPlan, RealisticBackend, execute, plan_for
-from .statekit import StateVector, reduce_to_site
+from .statekit import reduce_to_site
 from .targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure, ghz_target
 
 #: SweepSpec fields that shape one protocol's plan or input; every other
@@ -88,7 +88,7 @@ class SweepRecord:
     error: str | None = None  # why the cell is a NaN row; not written to the CSV
 
 
-def _target_state(spec: SweepSpec, plan: ProtocolPlan) -> StateVector | None:
+def _target_state(spec: SweepSpec, plan: ProtocolPlan) -> np.ndarray | None:
     if spec.protocol is ProtocolKind.TRANSPORT:
         return None  # compared through the reduced final-site state
     if spec.protocol is ProtocolKind.DIMER_MPS:
@@ -101,7 +101,7 @@ def _one_realization(
     grid_index: int,
     realization_index: int,
     plan: ProtocolPlan,
-    target: StateVector | None,
+    target: np.ndarray | None,
 ) -> float:
     n, ratio = plan.n_sites, spec.grid[grid_index]
     if spec.disorder.is_none:

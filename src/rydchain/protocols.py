@@ -45,12 +45,9 @@ from .dynamics import (
 from .errors import NumericalError
 from .statekit import (
     LevelScheme,
-    StateVector,
     append_ground,
     check_norm,
     check_qubit,
-    embed_initial_qubit,
-    ground_state,
     ground_tail,
     require_capacity,
 )
@@ -85,9 +82,12 @@ class ProtocolPlan:
     beta: complex | None = None
 
     def __post_init__(self):
-        """Every step and post-step addresses a site of the chain, a
-        hyperfine transfer needs the three-level scheme, the blockade range is
-        not negative, and a transport plan carries the normalized qubit it moves."""
+        """The chain has at least one site, every step and post-step
+        addresses one of them, a hyperfine transfer needs the three-level
+        scheme, the blockade range is not negative, and a transport plan
+        carries the normalized qubit it moves."""
+        if not self.n_sites >= 1:
+            raise ValueError("a plan needs at least one site")
         if not self.blockade_range >= 0:
             raise ValueError("blockade_range must be >= 0")
         if self.kind is ProtocolKind.TRANSPORT:
@@ -128,8 +128,9 @@ def mps_area_schedule(n_sites: int, z: float, blockade_range: int = 1) -> np.nda
     For range 1 the result is cross-checked against the closed form; a
     disagreement beyond its conditioning, or a closed form that overflows to
     NaN, raises.  As |z| grows q = (1-s)/(1+s) nears -1 and 1 - q^m cancels,
-    so the closed form's error grows like N eps |z| (worst seen: 0.18 of that
-    for N <= 1000, |z| <= 1e15); the tolerance is that bound, at least 1e-12.
+    so the closed form's error grows like N eps |z| (worst seen: 0.27 of that
+    for N <= 1000, 1e-3 <= |z| <= 1e15, and under 1e-6 of the 1e-12 floor for
+    |z| <= 1e-3); the tolerance is that bound, at least 1e-12.
     """
     if blockade_range < 1:
         raise ValueError("blockade_range must be >= 1")
@@ -158,15 +159,21 @@ def _closed_form_range1(n_sites: int, z: float) -> np.ndarray:
     """cos A_k = sqrt(2 [(1+s)^(N+2-k) - (1-s)^(N+2-k)] /
     [(1+s)^(N+3-k) - (1-s)^(N+3-k)]), s = sqrt(1+4z^2).
 
-    Evaluated as (2/(1+s)) (1-q^m)/(1-q^(m+1)) with q = (1-s)/(1+s) and
-    m = N+2-k, so large chains do not overflow the raw powers.
+    Evaluated with q = (1-s)/(1+s) and m = N+2-k, so large chains do not
+    overflow the raw powers: cos^2 A_k = (2/(1+s)) (1-q^m)/(1-q^(m+1)) and
+    sin^2 A_k = -q (1-q^(m-1))/(1-q^(m+1)).  q = -4z^2/(1+s)^2 is formed
+    without the cancellation in 1-s, and the angle comes from arctan2, so a
+    small |z| keeps its relative accuracy where arccos of a cosine that
+    rounds to 1 would not.
     """
-    s = np.sqrt(1.0 + 4.0 * z * z)
-    q = (1.0 - s) / (1.0 + s)  # |q| < 1 for z != 0
+    zz = 4.0 * z * z
+    s = np.sqrt(1.0 + zz)
+    q = -zz / (1.0 + s) ** 2  # |q| < 1 for z != 0
     m = np.arange(n_sites + 1, 1, -1)  # N+2-k for k = 1..N
-    cos2 = (2.0 / (1.0 + s)) * (1.0 - q**m) / (1.0 - q ** (m + 1))
-    cos = np.sqrt(np.minimum(cos2, 1.0))
-    return np.sign(z) * np.arccos(cos) if z else np.arccos(cos) * 0.0
+    den = 1.0 - q ** (m + 1)
+    cos2 = (2.0 / (1.0 + s)) * (1.0 - q**m) / den
+    sin2 = -q * (1.0 - q ** (m - 1)) / den
+    return np.sign(z) * np.arctan2(np.sqrt(sin2), np.sqrt(cos2))
 
 
 def mps_area_schedule_polynomial(n_sites: int, z: float, blockade_range: int = 1) -> np.ndarray:
@@ -257,12 +264,6 @@ def plan_for(
     raise ValueError(f"unknown protocol kind {kind}")
 
 
-def initial_state(plan: ProtocolPlan) -> StateVector:
-    if plan.kind is ProtocolKind.TRANSPORT:
-        return embed_initial_qubit(plan.alpha, plan.beta, plan.n_sites)
-    return ground_state(plan.n_sites, plan.scheme)
-
-
 # ---------------------------------------------------------------------------
 # execution backends
 
@@ -301,21 +302,15 @@ def _initial_prefix(plan: ProtocolPlan) -> tuple[int, np.ndarray]:
     return start, append_ground(amp, dim, start - m)
 
 
-def execute(plan: ProtocolPlan, backend, initial: StateVector | None = None) -> StateVector:
+def execute(plan: ProtocolPlan, backend) -> np.ndarray:
     """Apply the plan's pulses then its post-processing gates: the one way a
-    pulse is run.  A single pulse is a plan of one step with ``initial`` set.
+    pulse is run.  Returns the final amplitudes over the plan's whole chain.
 
-    Pulses run on a growing prefix of the chain (see the module docstring);
-    an explicit ``initial`` state starts at the full width.
+    Pulses run on a growing prefix of the chain (see the module docstring).
     """
     n, dim = plan.n_sites, plan.scheme.local_dim
     require_capacity(n, dim)
-    if initial is None:
-        m, amp = _initial_prefix(plan)
-    elif initial.n_sites != n or initial.scheme is not plan.scheme:
-        raise ValueError("initial state does not match the plan")
-    else:
-        m, amp = n, initial.amplitudes.copy()
+    m, amp = _initial_prefix(plan)
     realistic = isinstance(backend, RealisticBackend)
     if realistic:
         if backend.hamiltonian.n_sites != n:
@@ -338,7 +333,7 @@ def execute(plan: ProtocolPlan, backend, initial: StateVector | None = None) -> 
     for post in plan.post_steps:
         step = PulseStep(post.site, post.transition, post.theta)
         amp = _ideal_on_array(amp, n, dim, step, 0, 1j ** (post.phase_quarter_turns % 4))
-    return check_norm(StateVector(n, plan.scheme, amp))
+    return check_norm(amp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Dense state vectors for chains of two- or three-level atoms.
+"""Dense amplitude arrays for chains of two- or three-level atoms.
 
-Basis convention: a product state |i_1 i_2 ... i_N> is stored at the index
-whose base-d digits are the site occupations, site 1 being the most
-significant digit (d = 2 or 3).  Level labels are GROUND = 0, RYDBERG = 1
-and HYPERFINE = 2; only the Rydberg level interacts.
+A chain state is a plain ``complex128`` array with the basis index on axis
+0; its chain length and level scheme live on the plan that made it.  Basis
+convention: a product state |i_1 i_2 ... i_N> is stored at the index whose
+base-d digits are the site occupations, site 1 being the most significant
+digit (d = 2 or 3).  Level labels are GROUND = 0, RYDBERG = 1 and
+HYPERFINE = 2; only the Rydberg level interacts.
 
 In this layout a chain whose sites past m are all |0> keeps its m-site
 amplitudes at every d**(n-m)-th index: :func:`ground_tail` reads them and
@@ -12,7 +14,6 @@ amplitudes at every d**(n-m)-th index: :func:`ground_tail` reads them and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -38,33 +39,6 @@ class LevelScheme(Enum):
     @property
     def local_dim(self) -> int:
         return self.value
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitude array over the chain's product basis.
-
-    Treated as immutable: operations return new instances and never write
-    into ``amplitudes`` of an existing one.
-    """
-
-    n_sites: int
-    scheme: LevelScheme
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        dim = self.scheme.local_dim**self.n_sites
-        if self.amplitudes.shape != (dim,):
-            raise ValueError(
-                f"amplitude array has shape {self.amplitudes.shape}, expected ({dim},)"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.scheme.local_dim**self.n_sites
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def require_capacity(n_sites: int, local_dim: int) -> int:
@@ -120,54 +94,28 @@ def encode_occupations(occupations, local_dim: int) -> int:
     return idx
 
 
-def ground_state(n_sites: int, scheme: LevelScheme) -> StateVector:
-    """|00...0> on ``n_sites`` atoms."""
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    amp = np.zeros(require_capacity(n_sites, scheme.local_dim), dtype=np.complex128)
-    amp[0] = 1.0
-    return StateVector(n_sites, scheme, amp)
-
-
-def from_amplitudes(n_sites: int, scheme: LevelScheme, amplitudes) -> StateVector:
-    """Wrap a raw amplitude array (copied, cast to complex) without normalizing."""
-    amp = np.asarray(amplitudes, dtype=np.complex128).copy()
-    return StateVector(n_sites, scheme, amp)
-
-
 def check_qubit(alpha: complex | None, beta: complex | None) -> None:
     """Raise ValueError unless alpha|0> + beta|1> is a normalized qubit."""
     if alpha is None or beta is None or not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_TOL:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")  # None and NaN fail too
 
 
-def embed_initial_qubit(alpha: complex, beta: complex, n_sites: int) -> StateVector:
-    """(alpha|0> + beta|1>) on site 1, all other atoms in |0>.
-
-    The pair must be normalized already; nothing is silently rescaled.
-    """
-    check_qubit(alpha, beta)
-    state = ground_state(n_sites, LevelScheme.TWO_LEVEL)
-    amp = state.amplitudes
-    amp[0] = alpha
-    amp[2 ** (n_sites - 1)] = beta
-    return state
-
-
-def reduce_to_site(state: StateVector, site: int) -> np.ndarray:
-    """2x2 reduced density matrix of one atom, all others traced out."""
-    if state.scheme is not LevelScheme.TWO_LEVEL:
-        raise ValueError("single-qubit reduction is defined for two-level chains only")
-    if not 1 <= site <= state.n_sites:
-        raise IndexError(f"site {site} out of range 1..{state.n_sites}")
-    m = site_view(state.amplitudes, state.n_sites, 2, site)
+def reduce_to_site(amp: np.ndarray, site: int) -> np.ndarray:
+    """2x2 reduced density matrix of one atom of a two-level chain state,
+    all others traced out; the chain length is read from ``len(amp)``."""
+    n = len(amp).bit_length() - 1
+    if n < 1 or len(amp) != 2**n:
+        raise ValueError(f"{len(amp)} amplitudes are not a two-level chain of >= 1 sites")
+    if not 1 <= site <= n:
+        raise IndexError(f"site {site} out of range 1..{n}")
+    m = site_view(amp, n, 2, site)
     rho = np.einsum("iaj,ibj->ab", m, m.conj())
     return rho
 
 
-def check_norm(state: StateVector, tol: float = NORM_TOL) -> StateVector:
+def check_norm(amp: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
     """Pass-through norm assertion used after norm-preserving operations."""
-    drift = abs(state.norm() - 1.0)
+    drift = abs(float(np.linalg.norm(amp)) - 1.0)
     if not drift <= tol:  # a NaN amplitude fails too
         raise NumericalError(f"state norm drifted by {drift:.3e}")
-    return state
+    return amp

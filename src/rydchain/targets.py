@@ -11,7 +11,6 @@ from .statekit import (
     HYPERFINE,
     RYDBERG,
     LevelScheme,
-    StateVector,
     basis_digits,
     encode_occupations,
     require_capacity,
@@ -22,7 +21,7 @@ from .statekit import (
 FIDELITY_TOL = 1e-9
 
 
-def ghz_target(n_sites: int, scheme: LevelScheme) -> StateVector:
+def ghz_target(n_sites: int, scheme: LevelScheme) -> np.ndarray:
     """(|0x0x...> + |x0x0...>)/sqrt(2), x the excited level of the scheme.
 
     Two-level chains store the pattern in the Rydberg level, three-level
@@ -44,10 +43,10 @@ def ghz_target(n_sites: int, scheme: LevelScheme) -> StateVector:
     b = [0 if k % 2 else x for k in range(n_sites)]
     amp[encode_occupations(b, dim)] = 1 / np.sqrt(2)  # 0 x 0 x ...
     amp[encode_occupations(a, dim)] = 1 / np.sqrt(2)
-    return StateVector(n_sites, scheme, amp)
+    return amp
 
 
-def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> StateVector:
+def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> np.ndarray:
     """Normalized sum of z^n over all configurations with no two excitations
     within ``blockade_range`` sites; every forbidden amplitude is an exact zero."""
     if blockade_range < 1:
@@ -61,14 +60,14 @@ def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> Stat
     n_exc = occ.sum(axis=1)
     amp = np.where(allowed, np.float_power(float(z), n_exc), 0.0).astype(np.complex128)
     amp /= np.linalg.norm(amp)
-    return StateVector(n_sites, LevelScheme.TWO_LEVEL, amp)
+    return amp
 
 
-def fidelity_pure(target: StateVector, final: StateVector) -> float:
-    """|<target|final>|^2."""
-    if target.dim != final.dim:
+def fidelity_pure(target: np.ndarray, final: np.ndarray) -> float:
+    """|<target|final>|^2 of two amplitude arrays over the same chain."""
+    if len(target) != len(final):
         raise ValueError("state dimensions differ")
-    f = abs(np.vdot(target.amplitudes, final.amplitudes)) ** 2
+    f = abs(np.vdot(target, final)) ** 2
     return _clip_unit(float(f))
 
 

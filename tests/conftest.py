@@ -3,9 +3,11 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import execute_full_width
 from rydchain.dynamics import HamiltonianSpec, InteractionRange
 from rydchain.lattice import truncate_couplings
-from rydchain.protocols import IdealBackend, ProtocolKind, ProtocolPlan, RealisticBackend, execute
+from rydchain.protocols import IdealBackend, ProtocolKind, ProtocolPlan, RealisticBackend
+from rydchain.statekit import LevelScheme
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -45,16 +47,27 @@ def random_state(rng, dim: int) -> np.ndarray:
     return amp / np.linalg.norm(amp)
 
 
-def run_steps(state, backend, *steps, blockade_range=1):
-    """``steps`` as a hand-built plan on ``state``'s chain, run by ``execute``."""
-    plan = ProtocolPlan(ProtocolKind.GHZ2, state.n_sites, state.scheme, steps,
-                        blockade_range=blockade_range)
-    return execute(plan, backend, initial=state)
+def chain_of(amp) -> tuple[int, LevelScheme]:
+    """(n_sites, scheme) of an amplitude array: 2^n amplitudes are a two-level
+    chain and 3^n a three-level one (no length is both, past n = 0)."""
+    for scheme in LevelScheme:
+        n = round(np.log(len(amp)) / np.log(scheme.local_dim))
+        if scheme.local_dim**n == len(amp):
+            return n, scheme
+    raise ValueError(f"{len(amp)} amplitudes are not a chain")
 
 
-def run_ideal(state, step, blockade_range=1):
-    return run_steps(state, IdealBackend(), step, blockade_range=blockade_range)
+def run_steps(amp, backend, *steps, blockade_range=1):
+    """``steps`` as a hand-built plan on ``amp``'s chain, run over the whole
+    chain from ``amp`` by the full-width reference."""
+    n, scheme = chain_of(amp)
+    plan = ProtocolPlan(ProtocolKind.GHZ2, n, scheme, steps, blockade_range=blockade_range)
+    return execute_full_width(plan, backend, amp)
 
 
-def run_realistic(state, step, hamiltonian, omega):
-    return run_steps(state, RealisticBackend(hamiltonian, omega), step)
+def run_ideal(amp, step, blockade_range=1):
+    return run_steps(amp, IdealBackend(), step, blockade_range=blockade_range)
+
+
+def run_realistic(amp, step, hamiltonian, omega):
+    return run_steps(amp, RealisticBackend(hamiltonian, omega), step)

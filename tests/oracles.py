@@ -2,9 +2,49 @@
 
 import numpy as np
 
-from rydchain.dynamics import MAX_DENSE_DIM
+from rydchain.dynamics import (
+    MAX_DENSE_DIM, PulseStep, _ideal_on_array, _pulse_on_array, interaction_diagonal,
+)
 from rydchain.errors import CapacityError
-from rydchain.statekit import GROUND, RYDBERG, LevelScheme, StateVector, basis_digits
+from rydchain.protocols import ProtocolKind, RealisticBackend
+from rydchain.statekit import GROUND, RYDBERG, basis_digits, check_norm
+
+
+def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
+    """The plan run from ``amplitudes`` over the whole chain: every pulse at
+    m = n, then the post-processing gates.
+
+    Reference for :func:`rydchain.protocols.execute`, which starts from the
+    plan's own initial state and pulses only the prefix of sites touched so
+    far; it runs the same per-site kernels, so both agree to the last bits.
+    """
+    n, dim = plan.n_sites, plan.scheme.local_dim
+    amp = np.array(amplitudes, dtype=np.complex128)
+    if amp.shape != (dim**n,):
+        raise ValueError(f"amplitude array has shape {amp.shape}, expected ({dim**n},)")
+    realistic = isinstance(backend, RealisticBackend)
+    if realistic:
+        e_tot = interaction_diagonal(backend.hamiltonian, dim)
+    for step in plan.steps:
+        if realistic:
+            amp = _pulse_on_array(amp, n, dim, step, e_tot, backend.omega)
+        else:
+            amp = _ideal_on_array(amp, n, dim, step, plan.blockade_range)
+    for post in plan.post_steps:
+        step = PulseStep(post.site, post.transition, post.theta)
+        amp = _ideal_on_array(amp, n, dim, step, 0, 1j ** (post.phase_quarter_turns % 4))
+    return check_norm(amp)
+
+
+def initial_amplitudes(plan) -> np.ndarray:
+    """The plan's initial state over the whole chain: (alpha|0> + beta|1>) on
+    site 1 for transport, |0...0> otherwise, written index by index."""
+    amp = np.zeros(plan.scheme.local_dim**plan.n_sites, dtype=np.complex128)
+    if plan.kind is ProtocolKind.TRANSPORT:
+        amp[0], amp[2 ** (plan.n_sites - 1)] = plan.alpha, plan.beta
+    else:
+        amp[0] = 1.0
+    return amp
 
 
 def build_effective_hamiltonian(n_sites: int, omega_per_site) -> np.ndarray:
@@ -88,7 +128,7 @@ def interaction_energy_by_index(couplings, detuning, n_sites, local_dim):
     return out
 
 
-def dimer_target_mps(n_sites: int, z: float) -> StateVector:
+def dimer_target_mps(n_sites: int, z: float) -> np.ndarray:
     """Range-1 dimer state built by contracting the bond-2 tensor chain.
 
     X0 = (1 - n) + z*sigma_minus and X1 = sigma_plus on the bond space;
@@ -110,4 +150,4 @@ def dimer_target_mps(n_sites: int, z: float) -> StateVector:
         amp[idx] = left @ vec
     norm = np.linalg.norm(amp)
     amp /= norm
-    return StateVector(n_sites, LevelScheme.TWO_LEVEL, amp)
+    return amp

@@ -86,12 +86,12 @@ def test_criterion_02_transport_coefficient_oracle():
         # alpha branch: |11> amplitude carries |gamma'|
         plan = plan_transport(2, 1.0, 0.0)
         bare = ProtocolPlan(plan.kind, 2, TWO, plan.steps, (), alpha=1.0, beta=0.0)
-        out = execute(bare, RealisticBackend(ham, 1.0)).amplitudes
+        out = execute(bare, RealisticBackend(ham, 1.0))
         worst = max(worst, abs(abs(out[0b11]) - c.gamma_prime))
         # beta branch: |11> carries |delta'|, |01> the normalization remainder
         plan = plan_transport(2, 0.0, 1.0)
         bare = ProtocolPlan(plan.kind, 2, TWO, plan.steps, (), alpha=0.0, beta=1.0)
-        out = execute(bare, RealisticBackend(ham, 1.0)).amplitudes
+        out = execute(bare, RealisticBackend(ham, 1.0))
         worst = max(worst, abs(abs(out[0b11]) - abs(c.delta_prime)))
         remainder = np.sqrt(1.0 - abs(c.gamma) ** 2 - abs(c.delta_prime) ** 2)
         worst = max(worst, abs(abs(out[0b01]) - remainder))
@@ -169,7 +169,7 @@ def test_criterion_06_executed_amplitude_law():
     for z in (0.1, 1.0, 10.0):
         for n in range(2, 9):
             out = execute(plan_dimer_mps(n, z), IdealBackend())
-            amp = out.amplitudes
+            amp = out
             occ = basis_digits(n, 2) == RYDBERG
             adjacent = (occ[:, :-1] & occ[:, 1:]).any(axis=1)
             n_exc = occ.sum(axis=1)

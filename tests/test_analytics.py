@@ -53,7 +53,7 @@ class TestTwoAtomCoefficients:
         ratio = 6.9
         out = execute(plan_ghz(2, TWO), RealisticBackend(chain_hamiltonian(2, ratio), 1.0))
         c = two_atom_coefficients(ratio, 1.0)
-        amp = out.amplitudes * np.sqrt(2)
+        amp = out * np.sqrt(2)
         assert abs(amp[0b10] - c.gamma) < 1e-10
         assert abs(abs(amp[0b11]) - c.delta) < 1e-10
 
@@ -77,7 +77,7 @@ class TestTransportAmplitudes:
             bare = ProtocolPlan(plan.kind, 2, TWO, plan.steps, (), alpha=alpha, beta=beta)
             out = execute(bare, RealisticBackend(ham, 1.0))
             for idx, expect in checks.items():
-                assert abs(out.amplitudes[idx] - expect) < 1e-10
+                assert abs(out[idx] - expect) < 1e-10
 
     def test_against_dense_exponential(self):
         ratio, omega = 7.3, 1.0
@@ -126,10 +126,10 @@ class TestRkPoint:
         assert p.z == pytest.approx(-v0 / (64 * om))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            rk_point(0.0, 1.0)
-        with pytest.raises(ValueError):
-            rk_point(1.0, 0.0)
+        for v0, omega in [(0.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                          (1.0, np.inf)]:
+            with pytest.raises(ValueError):
+                rk_point(v0, omega)
 
     def test_ground_state_overlap_short_range(self):
         res = rk_ground_state_overlap(6, 64.0, InteractionRange.NEAREST_NEIGHBOR)

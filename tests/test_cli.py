@@ -261,6 +261,16 @@ class TestRkCheckCommand:
     def test_zero_omega_guard(self, capsys):
         assert run_cli("rk-check", "--n", "4", "--v0-over-omega", "64", "--omega", "0") == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--v0-over-omega", "nan"), ("--omega", "nan"), ("--omega", "inf"),
+        ("--v0-over-omega", "inf"),
+    ])
+    def test_non_finite_input_exits_2_before_diagonalizing(self, capsys, flag, value):
+        # these once ran eigh on a NaN Hamiltonian: RuntimeWarnings, then "did not converge"
+        args = {"--n": "4", "--v0-over-omega": "64", flag: value}
+        assert run_cli("rk-check", *(item for pair in args.items() for item in pair)) == 2
+        assert "finite and positive" in capsys.readouterr().err
+
 
 class TestNmaxCommand:
     def test_report_lines(self, capsys):

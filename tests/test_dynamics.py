@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,7 +17,7 @@ from rydchain.dynamics import (
     pi_pulse,
 )
 from rydchain.errors import CapacityError
-from rydchain.statekit import LevelScheme, from_amplitudes, ground_state
+from rydchain.statekit import LevelScheme
 
 TWO = LevelScheme.TWO_LEVEL
 THREE = LevelScheme.THREE_LEVEL
@@ -25,7 +27,7 @@ G_R = Transition.GROUND_RYDBERG
 def basis(n, idx, scheme=TWO):
     amp = np.zeros(scheme.local_dim**n, complex)
     amp[idx] = 1.0
-    return from_amplitudes(n, scheme, amp)
+    return amp
 
 
 class TestPulseStep:
@@ -43,9 +45,9 @@ class TestPulseStep:
 class TestIdealGate:
     def test_free_atom_pi(self):
         s = run_ideal(basis(1, 0), pi_pulse(1))
-        assert np.allclose(s.amplitudes, [0, 1], atol=1e-15)
+        assert np.allclose(s, [0, 1], atol=1e-15)
         s = run_ideal(basis(1, 1), pi_pulse(1))
-        assert np.allclose(s.amplitudes, [-1, 0], atol=1e-15)
+        assert np.allclose(s, [-1, 0], atol=1e-15)
 
     def test_toffoli_truth_table(self):
         # control on |0>: the middle atom flips only when both neighbors are down
@@ -63,43 +65,41 @@ class TestIdealGate:
             idx_in = int("".join(map(str, occ_in)), 2)
             idx_out = int("".join(map(str, occ_out)), 2)
             out = run_ideal(basis(3, idx_in), pi_pulse(2))
-            assert abs(out.amplitudes[idx_out]) == pytest.approx(1.0, abs=1e-15)
+            assert abs(out[idx_out]) == pytest.approx(1.0, abs=1e-15)
 
     def test_blockaded_neighbor_frozen(self):
         # |0 1 0>: a pi pulse on site 1 is blocked by the excited site 2
         out = run_ideal(basis(3, 0b010), pi_pulse(1))
-        assert out.amplitudes[0b010] == 1.0
+        assert out[0b010] == 1.0
 
     def test_ghz_step(self):
-        s = from_amplitudes(2, TWO, np.array([1, 0, 1, 0]) / np.sqrt(2))  # (|00>+|10>)/sqrt2
+        s = np.array([1, 0, 1, 0]) / np.sqrt(2)  # (|00>+|10>)/sqrt2
         out = run_ideal(s, pi_pulse(2))
         expected = np.zeros(4)
         expected[0b01] = expected[0b10] = 1 / np.sqrt(2)
-        assert np.allclose(out.amplitudes, expected, atol=1e-15)
+        assert np.allclose(out, expected, atol=1e-15)
 
     def test_unitarity_random_states(self, rng):
         for _ in range(10):
-            a = from_amplitudes(3, TWO, random_state(rng, 8))
-            b = from_amplitudes(3, TWO, random_state(rng, 8))
+            a = random_state(rng, 8)
+            b = random_state(rng, 8)
             step = PulseStep(2, G_R, rng.uniform(0, np.pi))
             ua, ub = run_ideal(a, step), run_ideal(b, step)
-            assert ua.norm() == pytest.approx(1.0, abs=1e-10)
-            assert np.vdot(ua.amplitudes, ub.amplitudes) == pytest.approx(
-                np.vdot(a.amplitudes, b.amplitudes), abs=1e-9
-            )
+            assert np.linalg.norm(ua) == pytest.approx(1.0, abs=1e-10)
+            assert np.vdot(ua, ub) == pytest.approx(np.vdot(a, b), abs=1e-9)
 
     def test_rotation_inverse_is_exact(self, rng):
-        s = from_amplitudes(3, TWO, random_state(rng, 8))
+        s = random_state(rng, 8)
         fwd = run_ideal(s, PulseStep(2, G_R, 0.813))
         back = run_ideal(fwd, PulseStep(2, G_R, -0.813))
-        assert np.abs(back.amplitudes - s.amplitudes).max() < 1e-12
+        assert np.abs(back - s).max() < 1e-12
 
     def test_blockade_radius_two(self):
         # |1 0 0>: site 3 is blocked at radius 2 but free at radius 1
         frozen = run_ideal(basis(3, 0b100), pi_pulse(3), blockade_range=2)
-        assert frozen.amplitudes[0b100] == 1.0
+        assert frozen[0b100] == 1.0
         flipped = run_ideal(basis(3, 0b100), pi_pulse(3), blockade_range=1)
-        assert abs(flipped.amplitudes[0b101]) == pytest.approx(1.0)
+        assert abs(flipped[0b101]) == pytest.approx(1.0)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -113,31 +113,29 @@ class TestIdealGate:
         # |1> -> -|1~> under a full transfer
         s = basis(1, 1, THREE)
         out = run_ideal(s, pi_pulse(1, Transition.RYDBERG_HYPERFINE))
-        assert out.amplitudes[2] == pytest.approx(-1.0, abs=1e-15)
+        assert out[2] == pytest.approx(-1.0, abs=1e-15)
         back = run_ideal(out, pi_pulse(1, Transition.RYDBERG_HYPERFINE))
-        assert back.amplitudes[1] == pytest.approx(-1.0, abs=1e-15)
+        assert back[1] == pytest.approx(-1.0, abs=1e-15)
 
 
 class TestRealisticPulse:
     def test_no_interaction_equals_ideal_on_free_atom(self, rng):
         ham = HamiltonianSpec(np.zeros((1, 1)))
-        amp = random_state(rng, 2)
-        s = from_amplitudes(1, TWO, amp)
+        s = random_state(rng, 2)
         step = PulseStep(1, G_R, np.pi / 2)
         real = run_realistic(s, step, ham, omega=1.3)
         ideal = run_ideal(s, step)
-        assert np.abs(real.amplitudes - ideal.amplitudes).max() < 1e-12
+        assert np.abs(real - ideal).max() < 1e-12
 
     def test_no_interaction_free_neighborhood(self, rng):
         # superposition confined to configurations with the neighbor down
         ham = HamiltonianSpec(np.zeros((2, 2)))
-        amp = np.zeros(4, complex)
-        amp[0b00], amp[0b10] = random_state(rng, 2)
-        s = from_amplitudes(2, TWO, amp)
+        s = np.zeros(4, complex)
+        s[0b00], s[0b10] = random_state(rng, 2)
         step = PulseStep(1, G_R, 0.77)
         real = run_realistic(s, step, ham, omega=2.0)
         ideal = run_ideal(s, step)
-        assert np.abs(real.amplitudes - ideal.amplitudes).max() < 1e-12
+        assert np.abs(real - ideal).max() < 1e-12
 
     @pytest.mark.parametrize("ratio", [1.0, 6.9, 15.5])
     def test_two_atom_stay_amplitude(self, ratio):
@@ -146,19 +144,19 @@ class TestRealisticPulse:
         from rydchain.analytics import two_atom_coefficients
 
         ham = chain_hamiltonian(2, ratio)
-        s = ground_state(2, TWO)
+        s = basis(2, 0)
         s = run_realistic(s, half_pi_pulse(1), ham, omega=1.0)
         s = run_realistic(s, pi_pulse(2), ham, omega=1.0)
         coeffs = two_atom_coefficients(ratio, 1.0)
-        assert abs(s.amplitudes[0b10] * np.sqrt(2) - coeffs.gamma) < 1e-10
-        assert abs(abs(s.amplitudes[0b11]) * np.sqrt(2) - coeffs.delta) < 1e-10
+        assert abs(s[0b10] * np.sqrt(2) - coeffs.gamma) < 1e-10
+        assert abs(abs(s[0b11]) * np.sqrt(2) - coeffs.delta) < 1e-10
 
     def test_blockade_limit_matches_ideal_gate(self):
         ham = chain_hamiltonian(2, 1e6)
-        s = from_amplitudes(2, TWO, np.array([1, 0, 1, 0]) / np.sqrt(2))
+        s = np.array([1, 0, 1, 0]) / np.sqrt(2)
         real = run_realistic(s, pi_pulse(2), ham, omega=1.0)
         ideal = run_ideal(s, pi_pulse(2))
-        assert np.linalg.norm(real.amplitudes - ideal.amplitudes) < 1e-4
+        assert np.linalg.norm(real - ideal) < 1e-4
 
     def test_long_range_tail_breaks_convergence_at_three_sites(self):
         # |101>: with full-range interactions the spectator pair leaves a
@@ -167,15 +165,15 @@ class TestRealisticPulse:
         s = basis(3, 0b101)
         ideal = run_ideal(s, step)
         full = run_realistic(s, step, chain_hamiltonian(3, 1e6), omega=1.0)
-        assert np.linalg.norm(full.amplitudes - ideal.amplitudes) > 0.1
+        assert np.linalg.norm(full - ideal) > 0.1
         nn = run_realistic(
             s, step, chain_hamiltonian(3, 1e6, InteractionRange.NEAREST_NEIGHBOR), omega=1.0
         )
-        assert np.linalg.norm(nn.amplitudes - ideal.amplitudes) < 1e-4
+        assert np.linalg.norm(nn - ideal) < 1e-4
 
     def test_zero_omega_rejected(self):
         with pytest.raises(ValueError):
-            run_realistic(ground_state(2, TWO), pi_pulse(1), chain_hamiltonian(2, 1.0), 0.0)
+            run_realistic(basis(2, 0), pi_pulse(1), chain_hamiltonian(2, 1.0), 0.0)
 
     @pytest.mark.parametrize("n,detuning", [
         pytest.param(2, None, id="2"),
@@ -192,10 +190,10 @@ class TestRealisticPulse:
         omegas = np.zeros(n)
         omegas[site - 1] = omega
         H = build_full_hamiltonian(ham, omegas)
-        s = from_amplitudes(n, TWO, random_state(rng, 2**n))
-        dense = expm(-1j * H * theta / (2 * omega)) @ s.amplitudes
+        s = random_state(rng, 2**n)
+        dense = expm(-1j * H * theta / (2 * omega)) @ s
         fast = run_realistic(s, PulseStep(site, G_R, theta), ham, omega)
-        assert np.abs(dense - fast.amplitudes).max() < 1e-9
+        assert np.abs(dense - fast).max() < 1e-9
 
     def test_three_level_pulse_against_dense_oracle(self, rng):
         """Hyperfine pulse on atom 1 of a 2-atom chain vs a hand-built 9x9
@@ -206,15 +204,27 @@ class TestRealisticPulse:
         sy_h[2, 1] = -1j
         n_r = np.diag([0.0, 1.0, 0.0])
         H = 2 * omega * np.kron(sy_h, np.eye(3)) + ratio * np.kron(n_r, n_r)
-        s = from_amplitudes(2, THREE, random_state(rng, 9))
-        dense = expm(-1j * H * theta / (2 * omega)) @ s.amplitudes
+        s = random_state(rng, 9)
+        dense = expm(-1j * H * theta / (2 * omega)) @ s
         fast = run_realistic(
             s,
             PulseStep(1, Transition.RYDBERG_HYPERFINE, theta),
             chain_hamiltonian(2, ratio),
             omega,
         )
-        assert np.abs(dense - fast.amplitudes).max() < 1e-9
+        assert np.abs(dense - fast).max() < 1e-9
+
+
+class TestHamiltonianSpec:
+    def test_asymmetric_couplings_rejected(self):
+        # the diagonal sees only V_km + V_mk, so V_01 = 1, V_10 = 3 once ran as 2 and 2
+        with pytest.raises(ValueError, match="symmetric"):
+            HamiltonianSpec(np.array([[0.0, 1.0], [3.0, 0.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            HamiltonianSpec(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        V = chain_hamiltonian(4, 6.9).couplings
+        V[0, 1] *= 1 + 1e-13  # rounding-level asymmetry passes
+        assert HamiltonianSpec(V).couplings[0, 1] == V[0, 1]
 
 
 class TestFullHamiltonian:
@@ -264,10 +274,10 @@ class TestEffectiveHamiltonian:
         omegas = np.zeros(3)
         omegas[1] = 1.0
         H = build_effective_hamiltonian(3, omegas)
-        s = from_amplitudes(3, TWO, random_state(rng, 8))
-        dense = expm(-1j * H * theta) @ s.amplitudes
+        s = random_state(rng, 8)
+        dense = expm(-1j * H * theta) @ s
         gate = run_ideal(s, PulseStep(2, G_R, theta))
-        assert np.abs(dense - gate.amplitudes).max() < 1e-12
+        assert np.abs(dense - gate).max() < 1e-12
 
 
 class TestGroundStateDense:
@@ -290,3 +300,30 @@ class TestGroundStateDense:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             ground_state_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_before_eigh(self, bad):
+        # a NaN difference once passed the check and reached eigh
+        H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        H[1, 2] = H[2, 1] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ground_state_dense(H)
+
+    def test_hermiticity_check_holds_no_full_size_temporary(self, monkeypatch):
+        H = build_full_hamiltonian(chain_hamiltonian(10, 64.0), 0.5)  # dim 1024, 16 MiB
+
+        class Reached(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(np.linalg, "eigh", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Reached):
+                ground_state_dense(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # three dim x dim temporaries took 32 MiB

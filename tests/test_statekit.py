@@ -4,16 +4,14 @@ from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, random_state
 from rydchain.errors import CapacityError, NumericalError
-from rydchain.protocols import RealisticBackend, execute, plan_transport
+from rydchain.protocols import (
+    IdealBackend, ProtocolKind, ProtocolPlan, RealisticBackend, execute, plan_transport,
+)
 from rydchain.statekit import (
     LevelScheme,
-    StateVector,
     basis_digits,
     check_norm,
-    embed_initial_qubit,
     encode_occupations,
-    from_amplitudes,
-    ground_state,
     reduce_to_site,
 )
 
@@ -21,21 +19,33 @@ TWO = LevelScheme.TWO_LEVEL
 THREE = LevelScheme.THREE_LEVEL
 
 
+def ground_state(n_sites, scheme):
+    """|0...0>, the start of a plan with no pulses: the prefix execute
+    begins from, widened to the whole chain."""
+    return execute(ProtocolPlan(ProtocolKind.GHZ2, n_sites, scheme, ()), IdealBackend())
+
+
+def embed_initial_qubit(alpha, beta, n_sites):
+    """(alpha|0> + beta|1>) on site 1, the start of a transport plan with no pulses."""
+    plan = ProtocolPlan(ProtocolKind.TRANSPORT, n_sites, TWO, (), alpha=alpha, beta=beta)
+    return execute(plan, IdealBackend())
+
+
 class TestGroundState:
     def test_single_site(self):
         s = ground_state(1, TWO)
-        assert np.array_equal(s.amplitudes, [1, 0])
+        assert np.array_equal(s, [1, 0])
 
     def test_three_level_two_sites(self):
         s = ground_state(2, THREE)
-        assert s.dim == 9
-        assert s.amplitudes[0] == 1
-        assert np.all(s.amplitudes[1:] == 0)
+        assert len(s) == 9
+        assert s[0] == 1
+        assert np.all(s[1:] == 0)
 
     def test_thirteen_sites(self):
         s = ground_state(13, TWO)
-        assert s.dim == 8192
-        assert s.norm() == pytest.approx(1.0, abs=1e-15)
+        assert len(s) == 8192
+        assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-15)
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
@@ -50,26 +60,25 @@ class TestGroundState:
 
 class TestReduceToSite:
     def test_product_state(self):
-        s = from_amplitudes(2, TWO, [0, 1, 0, 0])  # |0 1>
+        s = np.array([0, 1, 0, 0], complex)  # |0 1>
         rho = reduce_to_site(s, 2)
         assert np.allclose(rho, np.diag([0, 1]), atol=1e-15)
 
     def test_bell_state(self):
-        s = from_amplitudes(2, TWO, np.array([1, 0, 0, 1]) / np.sqrt(2))
+        s = np.array([1, 0, 0, 1], complex) / np.sqrt(2)
         rho = reduce_to_site(s, 2)
         assert np.allclose(rho, np.eye(2) / 2, atol=1e-15)
 
     def test_random_product_state_is_pure(self, rng):
         kets = [random_state(rng, 2) for _ in range(3)]
-        full = np.kron(np.kron(kets[0], kets[1]), kets[2])
-        s = from_amplitudes(3, TWO, full)
+        s = np.kron(np.kron(kets[0], kets[1]), kets[2])
         for site in (1, 2, 3):
             rho = reduce_to_site(s, site)
             k = kets[site - 1]
             assert np.real(np.vdot(k, rho @ k)) == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_unit_trace(self, rng):
-        s = from_amplitudes(3, TWO, random_state(rng, 8))
+        s = random_state(rng, 8)
         rho = reduce_to_site(s, 2)
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -85,6 +94,12 @@ class TestReduceToSite:
     def test_three_level_rejected(self):
         with pytest.raises(ValueError):
             reduce_to_site(ground_state(2, THREE), 1)
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 6, 12])
+    def test_length_not_a_qubit_chain_rejected(self, length):
+        # the chain length is read from the array: only 2^n, n >= 1, is one
+        with pytest.raises(ValueError, match="not a two-level chain"):
+            reduce_to_site(np.ones(length, complex), 1)
 
     def test_transport_output_matches_dense_oracle(self):
         """N=2 transport at V0/Omega=10: compare against direct 4x4 matrix
@@ -119,17 +134,17 @@ class TestReduceToSite:
 class TestEmbedInitialQubit:
     def test_classical_zero(self):
         s = embed_initial_qubit(1, 0, 4)
-        assert np.array_equal(s.amplitudes, ground_state(4, TWO).amplitudes)
+        assert np.array_equal(s, ground_state(4, TWO))
 
     def test_equal_superposition(self):
         s = embed_initial_qubit(1 / np.sqrt(2), 1 / np.sqrt(2), 4)
-        assert s.amplitudes[0] == pytest.approx(1 / np.sqrt(2))
-        assert s.amplitudes[8] == pytest.approx(1 / np.sqrt(2))
-        assert s.norm() == pytest.approx(1.0, abs=1e-12)
+        assert s[0] == pytest.approx(1 / np.sqrt(2))
+        assert s[8] == pytest.approx(1 / np.sqrt(2))
+        assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_amplitude_pair(self):
         s = embed_initial_qubit(-0.7, np.sqrt(0.51), 4)
-        assert s.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -145,7 +160,7 @@ class TestCheckNorm:
     @pytest.mark.parametrize("amp", [[1.0, 1e-4, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
     def test_rejects_drift_and_nan(self, amp):
         with pytest.raises(NumericalError):
-            check_norm(from_amplitudes(2, TWO, amp))
+            check_norm(np.array(amp, complex))
 
 
 class TestBasisIndexing:
@@ -162,7 +177,3 @@ class TestBasisIndexing:
         dig = basis_digits(2, 2)
         assert list(dig[2]) == [1, 0]
 
-
-def test_statevector_shape_validation():
-    with pytest.raises(ValueError):
-        StateVector(2, TWO, np.zeros(3, complex))

@@ -22,7 +22,7 @@ import scipy.optimize
 
 from .dynamics import HamiltonianSpec, InteractionRange, build_full_hamiltonian, ground_state_dense
 from .errors import NumericalError
-from .lattice import truncate_couplings
+from .lattice import coupling_matrix, ideal_configuration, truncate_couplings
 from .protocols import HyperfinePolicy, ProtocolKind, plan_for, protocol_duration
 from .statekit import RYDBERG, basis_digits
 from .targets import dimer_target_direct
@@ -52,8 +52,8 @@ def _gamma_leak(v0: float, omega: float) -> tuple[complex, complex]:
 
 
 def two_atom_coefficients(v0: float, omega: float) -> TwoAtomCoefficients:
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:  # a NaN fails too
+        raise ValueError("omega must be finite and positive")
     gamma, _ = _gamma_leak(v0, omega)
     tau = float(np.sqrt(v0**2 + 16.0 * omega**2))
     delta = float(np.sqrt(max(0.0, 1.0 - abs(gamma) ** 2)))
@@ -102,8 +102,8 @@ def transport_two_atom_amplitudes(v0: float, omega: float) -> TransportTwoAtomAm
 
 def ghz_fidelity_two_atoms(v0: float, omega: float) -> float:
     """|1 + gamma|^2 / 4, the exact two-atom fidelity of the GHZ sequence."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:  # a NaN fails too
+        raise ValueError("omega must be finite and positive")
     gamma, _ = _gamma_leak(v0, omega)
     return float(abs(1.0 + gamma) ** 2 / 4.0)
 
@@ -170,11 +170,7 @@ def rk_ground_state_overlap(
     v0 = v0_over_omega * omega
     point = rk_point(v0, omega)  # checks both before H is built
     v_nnn = v0 / 64.0
-    base = np.zeros((n_sites, n_sites))
-    for i in range(n_sites):
-        for j in range(n_sites):
-            if i != j:
-                base[i, j] = v0 / abs(i - j) ** 6
+    base = coupling_matrix(ideal_configuration(n_sites, 1.0), v0, 1.0)
     if interaction_range is InteractionRange.NEAREST_NEIGHBOR:
         base = truncate_couplings(base, 2)
     detuning = np.full(n_sites, point.delta)

@@ -111,7 +111,9 @@ class HamiltonianSpec:
     Every coupling is used as given; a shorter interaction range is
     expressed by zeroing couplings before building the spec.  V must be
     symmetric (V_km = V_mk to a relative 1e-12): the diagonal of H sees only
-    V_km + V_mk, so an asymmetric V would have no effect of its own.
+    V_km + V_mk, so an asymmetric V would have no effect of its own.  Its
+    diagonal must be exactly zero: since n_k^2 = n_k, a self-coupling V_kk
+    would act as a detuning V_kk/2, which belongs in ``detuning``.
     """
 
     couplings: np.ndarray
@@ -124,6 +126,8 @@ class HamiltonianSpec:
         asymmetry = np.abs(V - V.T)
         if asymmetry.size and not asymmetry.max() <= 1e-12 * np.abs(V).max():  # a NaN fails too
             raise ValueError("couplings must be finite and symmetric")
+        if V.diagonal().any():  # a NaN is nonzero too
+            raise ValueError("couplings must have a zero diagonal")
         object.__setattr__(self, "couplings", V)
         det = self.detuning
         det = np.zeros(len(V)) if det is None else np.asarray(det, dtype=float)

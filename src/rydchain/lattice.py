@@ -80,24 +80,18 @@ def sample_configuration(
 ) -> np.ndarray:
     """Ideal positions plus independent per-axis Gaussian displacements.
 
-    ``seed`` is anything ``numpy.random.SeedSequence`` accepts, or a
-    SeedSequence itself.  The stream is a Philox counter generator, so a
-    given seed reproduces the same configuration on any machine.
+    ``seed`` is an int, a sequence of ints or a ``numpy.random.SeedSequence``
+    (such as :func:`realization_seed` returns), any form
+    ``numpy.random.Philox`` accepts.  The stream is a Philox counter
+    generator, so a given seed reproduces the same configuration on any
+    machine.  Zero widths return the ideal chain unchanged, whatever the seed.
     """
-    rng = rng_from_seed(seed)
     pos = ideal_configuration(n_sites, spacing_r0)
     sigma = np.asarray(disorder.sigma)
     if np.any(sigma > 0):
+        rng = np.random.Generator(np.random.Philox(seed))
         pos = pos + rng.normal(size=pos.shape) * sigma
     return pos
-
-
-def rng_from_seed(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seq))
 
 
 def realization_seed(master_seed: int, *path: int) -> np.random.SeedSequence:

@@ -1,10 +1,13 @@
 """Disorder-averaged fidelity sweeps over interaction-strength grids.
 
-Each sweep cell (chain length, V0/Omega point) draws quenched atom
-configurations: one position sample per protocol run, held fixed for the
-whole pulse sequence.  Omega is set to 1 rad/us and V0 to the grid ratio;
-fidelities depend on the ratio only.  Seeding is positional, so results
-are independent of worker count and identical across reruns.
+Each sweep cell (chain length, V0/Omega point) runs one realization loop:
+draw a quenched atom configuration, build its couplings, run the protocol's
+pulses and score the final state.  One position sample is held fixed for
+the whole pulse sequence of a run.  A disorder-free cell runs the same loop
+once, since zero widths give the ideal chain whatever the seed.  Omega is
+set to 1 rad/us and V0 to the grid ratio; fidelities depend on the ratio
+only.  Seeding is positional, so results are independent of worker count
+and identical across reruns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .lattice import (
     DisorderSpec,
     coupling_matrix,
     disorder_preset,
-    ideal_configuration,
     realization_seed,
     sample_configuration,
     truncate_couplings,
@@ -58,10 +60,12 @@ class SweepSpec:
             raise ValueError("realizations must be >= 1")
         if not self.grid or not self.n_list:
             raise ValueError("grid and n_list must each hold at least one value")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        if not np.all(np.isfinite(self.grid)):
+            raise ValueError("grid values must be finite")
+        if any(not b > a for a, b in zip(self.grid, self.grid[1:])):
+            raise ValueError("grid must be strictly increasing")
         if isinstance(self.disorder, str):
             object.__setattr__(self, "disorder", disorder_preset(self.disorder))
         defaults = {f.name: f.default for f in fields(self)}
@@ -104,11 +108,8 @@ def _one_realization(
     target: np.ndarray | None,
 ) -> float:
     n, ratio = plan.n_sites, spec.grid[grid_index]
-    if spec.disorder.is_none:
-        config = ideal_configuration(n, R0_DEFAULT)
-    else:
-        seed = realization_seed(spec.master_seed, n, grid_index, realization_index)
-        config = sample_configuration(n, R0_DEFAULT, spec.disorder, seed)
+    seed = realization_seed(spec.master_seed, n, grid_index, realization_index)
+    config = sample_configuration(n, R0_DEFAULT, spec.disorder, seed)
     couplings = coupling_matrix(config, ratio, R0_DEFAULT)
     if spec.interaction_range is InteractionRange.NEAREST_NEIGHBOR:
         couplings = truncate_couplings(couplings, 1)
@@ -119,22 +120,26 @@ def _one_realization(
     return fidelity_pure(target, final)
 
 
-def _cell(spec: SweepSpec, plan: ProtocolPlan, grid_index: int) -> SweepRecord:
-    """One (n, grid) cell; a disorder-free cell runs once and reports that
-    value exactly, as mean, min and max, with zero standard error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
-        target = _target_state(spec, plan)
-    std_err = 0.0
-    if spec.disorder.is_none:
-        mean = lo = hi = _one_realization(spec, grid_index, 0, plan, target)
-    else:
+def _cell(args) -> SweepRecord:
+    """One (n, grid) cell.  A disorder-free cell runs once, so its value is
+    reported exactly as mean, min and max with zero standard error; a cell
+    over the capacity limit is a NaN row carrying the error message."""
+    spec, plan, grid_index = args
+    runs = 1 if spec.disorder.is_none else spec.realizations
+    mean = std_err = lo = hi = float("nan")
+    error = None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
+            target = _target_state(spec, plan)
         values = np.array(
-            [_one_realization(spec, grid_index, i, plan, target) for i in range(spec.realizations)]
+            [_one_realization(spec, grid_index, i, plan, target) for i in range(runs)]
         )
+    except CapacityError as exc:
+        error = str(exc)
+    else:
         mean, lo, hi = float(values.mean()), float(values.min()), float(values.max())
-        if spec.realizations > 1:
-            std_err = float(values.std(ddof=1) / np.sqrt(spec.realizations))
+        std_err = float(values.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
     return SweepRecord(
         protocol=spec.protocol.value,
         n=plan.n_sites,
@@ -145,19 +150,8 @@ def _cell(spec: SweepSpec, plan: ProtocolPlan, grid_index: int) -> SweepRecord:
         std_error=std_err,
         fid_min=lo,
         fid_max=hi,
+        error=error,
     )
-
-
-def _cell_or_nan(args) -> SweepRecord:
-    spec, plan, gi = args
-    try:
-        return _cell(spec, plan, gi)
-    except CapacityError as exc:
-        nan = float("nan")
-        return SweepRecord(
-            spec.protocol.value, plan.n_sites, spec.grid[gi], spec.disorder.kind,
-            spec.realizations, nan, nan, nan, nan, error=str(exc),
-        )
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
@@ -171,5 +165,5 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     cells = [(spec, plan, gi) for plan in plans for gi in range(len(spec.grid))]
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_cell_or_nan, cells))
-    return list(map(_cell_or_nan, cells))
+            return list(pool.map(_cell, cells))
+    return list(map(_cell, cells))

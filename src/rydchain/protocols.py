@@ -278,8 +278,8 @@ class RealisticBackend:
     omega: float
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < np.inf:  # a NaN fails too
+            raise ValueError("omega must be finite and positive")
 
 
 #: Fewest amplitudes a prefix starts with, unless the whole chain has fewer:

@@ -113,9 +113,9 @@ def reduce_to_site(amp: np.ndarray, site: int) -> np.ndarray:
     return rho
 
 
-def check_norm(amp: np.ndarray, tol: float = NORM_TOL) -> np.ndarray:
+def check_norm(amp: np.ndarray) -> np.ndarray:
     """Pass-through norm assertion used after norm-preserving operations."""
     drift = abs(float(np.linalg.norm(amp)) - 1.0)
-    if not drift <= tol:  # a NaN amplitude fails too
+    if not drift <= NORM_TOL:  # a NaN amplitude fails too
         raise NumericalError(f"state norm drifted by {drift:.3e}")
     return amp

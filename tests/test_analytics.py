@@ -58,8 +58,10 @@ class TestTwoAtomCoefficients:
         assert abs(abs(amp[0b11]) - c.delta) < 1e-10
 
     def test_omega_validation(self):
-        with pytest.raises(ValueError):
-            two_atom_coefficients(1.0, 0.0)
+        # NaN once gave delta=0.0 and NaN amplitudes without complaint
+        for omega in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                two_atom_coefficients(1.0, omega)
 
 
 class TestTransportAmplitudes:
@@ -110,6 +112,12 @@ class TestGhzFidelityCurve:
 
     def test_large_ratio_approaches_unity(self):
         assert ghz_fidelity_two_atoms(1e4, 1.0) > 0.999
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf])
+    def test_omega_validation(self, omega):
+        # NaN once returned a NaN fidelity
+        with pytest.raises(ValueError):
+            ghz_fidelity_two_atoms(6.9, omega)
 
 
 class TestRkPoint:

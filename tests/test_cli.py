@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rydchain import cli
+from rydchain import cli, montecarlo
 from rydchain.analytics import ghz_fidelity_two_atoms
 from rydchain.errors import CapacityError, NumericalError
 
@@ -158,6 +158,22 @@ class TestSweepCommand:
             "--out", str(tmp_path / "x"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["6.9,nan", "nan", "inf", "6.9,inf"])
+    def test_non_finite_grid_exits_2_before_any_cell_runs(
+        self, tmp_path, capsys, monkeypatch, grid
+    ):
+        # "6.9,nan" once ran the 6.9 cells, then failed on the couplings
+        calls = []
+        monkeypatch.setattr(montecarlo, "execute", lambda *args, **kwargs: calls.append(args))
+        code = run_cli(
+            "sweep", "--protocol", "ghz2", "--n", "2,4", "--grid", grid,
+            "--realizations", "2", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "grid values must be finite" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,value", [
         pytest.param("--grid", "1:30:0", id="empty-grid"),

@@ -226,6 +226,16 @@ class TestHamiltonianSpec:
         V[0, 1] *= 1 + 1e-13  # rounding-level asymmetry passes
         assert HamiltonianSpec(V).couplings[0, 1] == V[0, 1]
 
+    @pytest.mark.parametrize("diagonal", [[1.0, 0.0], [0.0, -2.5], [1e-300, 0.0]])
+    def test_nonzero_diagonal_rejected(self, diagonal):
+        # V_kk once acted silently as a detuning V_kk/2 on site k
+        with pytest.raises(ValueError, match="zero diagonal"):
+            HamiltonianSpec(np.diag(diagonal))
+
+    def test_nan_diagonal_rejected(self):
+        with pytest.raises(ValueError):
+            HamiltonianSpec(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
 
 class TestFullHamiltonian:
     def test_zero_drive_is_interaction_diagonal(self):

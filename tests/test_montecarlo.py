@@ -24,6 +24,20 @@ def make_spec(**kw):
     return SweepSpec(**base)
 
 
+@pytest.fixture
+def execute_calls(monkeypatch):
+    """Arguments of every montecarlo.execute call, which still runs."""
+    calls = []
+    real = montecarlo.execute
+
+    def counting_execute(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "execute", counting_execute)
+    return calls
+
+
 class TestRealizationFidelity:
     """Single realizations, read off sweeps of one or two realizations per cell."""
 
@@ -119,18 +133,10 @@ class TestRunSweep:
         assert "exceeds the cap" in rec.error
         assert peak < 5e6
 
-    def test_bad_chain_length_raises_before_any_cell_runs(self, monkeypatch):
-        calls = []
-        real = montecarlo.execute
-
-        def counting_execute(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "execute", counting_execute)
+    def test_bad_chain_length_raises_before_any_cell_runs(self, execute_calls):
         with pytest.raises(ValueError, match="at least 2 sites"):
             run_sweep(make_spec(n_list=(3, 1), disorder=disorder_preset("iso")))
-        assert calls == []
+        assert execute_calls == []
 
     def test_realization_warnings_reach_the_caller(self, monkeypatch):
         real = montecarlo.fidelity_pure
@@ -153,6 +159,23 @@ class TestRunSweep:
     def test_strictly_increasing_grid_enforced(self):
         with pytest.raises(ValueError):
             make_spec(grid=(5.0, 5.0))
+
+    @pytest.mark.parametrize("grid", [
+        (float("nan"),), (6.9, float("nan")), (float("nan"), 6.9),
+        (float("inf"),), (6.9, float("inf")), (-float("inf"), 6.9),
+    ], ids=["nan", "6.9,nan", "nan,6.9", "inf", "6.9,inf", "-inf,6.9"])
+    def test_non_finite_grid_rejected(self, grid):
+        # a lone NaN passed the ordering check, since NaN <= NaN is False
+        with pytest.raises(ValueError, match="finite"):
+            make_spec(grid=grid)
+
+    @pytest.mark.parametrize("disorder,per_cell", [("none", 1), ("iso", 3)])
+    def test_one_execute_per_realization(self, execute_calls, disorder, per_cell):
+        # a disorder-free cell runs once whatever the realization count
+        spec = make_spec(n_list=(2, 3), grid=(5.0, 6.9), disorder=disorder_preset(disorder),
+                         realizations=3)
+        assert len(run_sweep(spec)) == 4
+        assert len(execute_calls) == 4 * per_cell
 
     @pytest.mark.parametrize("field", ["grid", "n_list"])
     def test_empty_axis_rejected(self, field):

@@ -410,6 +410,12 @@ class TestExecute:
         with pytest.raises(ValueError):
             execute(plan_ghz(3, TWO), RealisticBackend(chain_hamiltonian(4, 1.0), 1.0))
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_backend_omega_must_be_finite_and_positive(self, omega):
+        # NaN and inf were once accepted and failed only inside execute, on the norm check
+        with pytest.raises(ValueError, match="omega"):
+            RealisticBackend(chain_hamiltonian(2, 6.9), omega)
+
 
 class TestDuration:
     def test_single_pi_pulse(self):

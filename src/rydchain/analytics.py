@@ -9,7 +9,8 @@ tau = sqrt(V0^2 + 16 Omega^2)):
 
 gamma is the amplitude for a blocked atom to stay put, leak the amplitude
 to co-excite despite the blockade (|leak|^2 = 1 - |gamma|^2), delta' the
-doubly-excited residue after the two transport pulses.
+doubly-excited residue after the two transport pulses.  All three are
+evaluated in one place, :func:`two_atom_coefficients`.
 """
 
 from __future__ import annotations
@@ -30,87 +31,57 @@ from .targets import dimer_target_direct
 
 @dataclass(frozen=True)
 class TwoAtomCoefficients:
-    """Closed-form amplitudes; delta, gamma_prime and delta_double_prime are
-    fixed by the normalization identities and carried as magnitudes."""
+    """Closed-form two-atom amplitudes of the pi pulse pair.
+
+    The two transport pulses take the input branches, before the parity
+    correction, to alpha -> gamma|01> + leak|11> and
+    beta -> -gamma|00> - leak^2|01> + delta'|11>.  delta, gamma_prime and
+    delta_double_prime are fixed by the normalization identities and carried
+    as magnitudes."""
 
     gamma: complex
+    leak: complex
     delta: float
-    gamma_prime: float
     delta_prime: complex
     delta_double_prime: float
     tau: float
 
+    @property
+    def gamma_prime(self) -> float:
+        return self.delta
 
-def _gamma_leak(v0: float, omega: float) -> tuple[complex, complex]:
+
+def two_atom_coefficients(v0: float, omega: float) -> TwoAtomCoefficients:
+    if not (np.isfinite(v0) and 0 < omega < np.inf):  # a NaN fails too
+        raise ValueError("v0 must be finite, and omega finite and positive")
     tau = np.sqrt(v0**2 + 16.0 * omega**2)
     t = np.pi / (4.0 * omega)
     phase = np.exp(-0.5j * v0 * t)
     bt = 0.5 * tau * t
-    gamma = phase * (np.cos(bt) + 1j * (v0 / tau) * np.sin(bt))
-    leak = phase * (4.0 * omega / tau) * np.sin(bt)
-    return complex(gamma), complex(leak)
-
-
-def two_atom_coefficients(v0: float, omega: float) -> TwoAtomCoefficients:
-    if not 0 < omega < np.inf:  # a NaN fails too
-        raise ValueError("omega must be finite and positive")
-    gamma, _ = _gamma_leak(v0, omega)
-    tau = float(np.sqrt(v0**2 + 16.0 * omega**2))
-    delta = float(np.sqrt(max(0.0, 1.0 - abs(gamma) ** 2)))
-    gamma_prime = delta
-    delta_prime = _delta_prime(v0, omega)
-    ddp = float(np.sqrt(max(0.0, 1.0 - delta**2 - abs(delta_prime) ** 2)))
-    return TwoAtomCoefficients(gamma, delta, gamma_prime, delta_prime, ddp, tau)
-
-
-def _delta_prime(v0: float, omega: float) -> complex:
-    """2 e^{-i pi V0/(4 Om)} Om (-i V0 + i V0 cos(pi tau/(4 Om)) + tau sin(pi tau/(4 Om))) / tau^2."""
-    tau = np.sqrt(v0**2 + 16.0 * omega**2)
+    gamma = complex(phase * (np.cos(bt) + 1j * (v0 / tau) * np.sin(bt)))
+    leak = complex(phase * (4.0 * omega / tau) * np.sin(bt))
+    # 2 e^{-i pi V0/(4 Om)} Om (-i V0 + i V0 cos(pi tau/(4 Om)) + tau sin(pi tau/(4 Om))) / tau^2
     arg = np.pi * tau / (4.0 * omega)
-    return complex(
+    delta_prime = complex(
         2.0
         * np.exp(-1j * np.pi * v0 / (4.0 * omega))
         * omega
         * (-1j * v0 + 1j * v0 * np.cos(arg) + tau * np.sin(arg))
         / tau**2
     )
-
-
-@dataclass(frozen=True)
-class TransportTwoAtomAmplitudes:
-    """Final two-atom amplitudes before the parity correction, one branch per
-    input component: alpha goes to gamma|01> + leak|11>, beta to
-    -gamma|00> - leak^2|01> + delta'|11>."""
-
-    alpha_01: complex
-    alpha_11: complex
-    beta_00: complex
-    beta_01: complex
-    beta_11: complex
-
-
-def transport_two_atom_amplitudes(v0: float, omega: float) -> TransportTwoAtomAmplitudes:
-    gamma, leak = _gamma_leak(v0, omega)
-    return TransportTwoAtomAmplitudes(
-        alpha_01=gamma,
-        alpha_11=leak,
-        beta_00=-gamma,
-        beta_01=-leak * leak,
-        beta_11=_delta_prime(v0, omega),
-    )
+    delta = float(np.sqrt(max(0.0, 1.0 - abs(gamma) ** 2)))
+    ddp = float(np.sqrt(max(0.0, 1.0 - delta**2 - abs(delta_prime) ** 2)))
+    return TwoAtomCoefficients(gamma, leak, delta, delta_prime, ddp, float(tau))
 
 
 def ghz_fidelity_two_atoms(v0: float, omega: float) -> float:
     """|1 + gamma|^2 / 4, the exact two-atom fidelity of the GHZ sequence."""
-    if not 0 < omega < np.inf:  # a NaN fails too
-        raise ValueError("omega must be finite and positive")
-    gamma, _ = _gamma_leak(v0, omega)
-    return float(abs(1.0 + gamma) ** 2 / 4.0)
+    return float(abs(1.0 + two_atom_coefficients(v0, omega).gamma) ** 2 / 4.0)
 
 
-def leftmost_fidelity_peak(lo: float = 0.5, hi: float = 30.0, points: int = 20000) -> float:
+def leftmost_fidelity_peak() -> float:
     """Location (in V0/Omega) of the first local maximum of the two-atom fidelity."""
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(0.5, 30.0, 20000)
     f = np.array([ghz_fidelity_two_atoms(v, 1.0) for v in grid])
     interior = np.where((f[1:-1] > f[:-2]) & (f[1:-1] > f[2:]))[0]
     if len(interior) == 0:
@@ -242,14 +213,14 @@ def estimate_n_max(
     """Largest chain length whose full pulse sequence fits in tau_exp.
 
     Pulse durations depend on ``omega`` alone: ``v0`` is only checked to be
-    positive and does not enter the result.
+    finite and positive and does not enter the result.
 
     Every plan of N+1 sites holds the pulses of the N-site plan plus more
     (the dimer recursion runs from the chain end), so durations never
     decrease with N and a bisection over 2..n_cap finds the answer.
     """
-    if not v0 > 0 or not omega > 0:  # a NaN fails too
-        raise ValueError("v0 and omega must be positive")
+    if not (0 < v0 < np.inf and 0 < omega < np.inf):  # a NaN fails too
+        raise ValueError("v0 and omega must be finite and positive")
     if not tau_exp >= 0:
         raise ValueError("tau_exp must be nonnegative")
     z = 1.0 if z is None else z

@@ -61,12 +61,9 @@ class ProtocolKind(Enum):
 
 
 @dataclass(frozen=True)
-class PostStep:
+class PostStep(PulseStep):
     """Post-processing single-site gate: i^(q) times a theta rotation."""
 
-    site: int
-    transition: Transition
-    theta: float
     phase_quarter_turns: int = 0
 
 
@@ -84,14 +81,21 @@ class ProtocolPlan:
     def __post_init__(self):
         """The chain has at least one site, every step and post-step
         addresses one of them, a hyperfine transfer needs the three-level
-        scheme, the blockade range is not negative, and a transport plan
-        carries the normalized qubit it moves."""
+        scheme, the blockade range is not negative, post_steps holds the
+        PostSteps and steps the other pulses, and a transport plan, and no
+        other, carries the normalized qubit it moves."""
         if not self.n_sites >= 1:
             raise ValueError("a plan needs at least one site")
         if not self.blockade_range >= 0:
             raise ValueError("blockade_range must be >= 0")
         if self.kind is ProtocolKind.TRANSPORT:
             check_qubit(self.alpha, self.beta)
+        elif self.alpha is not None or self.beta is not None:
+            raise ValueError(f"a {self.kind.value} plan takes no alpha/beta")
+        if any(isinstance(step, PostStep) for step in self.steps) or not all(
+            isinstance(post, PostStep) for post in self.post_steps
+        ):
+            raise ValueError("a PostStep belongs in post_steps, and only there")
         three_level = self.scheme is LevelScheme.THREE_LEVEL
         for step in (*self.steps, *self.post_steps):
             if not 1 <= step.site <= self.n_sites:
@@ -331,8 +335,7 @@ def execute(plan: ProtocolPlan, backend) -> np.ndarray:
     if m < n:
         amp = append_ground(amp, dim, n - m)
     for post in plan.post_steps:
-        step = PulseStep(post.site, post.transition, post.theta)
-        amp = _ideal_on_array(amp, n, dim, step, 0, 1j ** (post.phase_quarter_turns % 4))
+        amp = _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
     return check_norm(amp)
 
 
@@ -354,12 +357,11 @@ def protocol_duration(
     Hyperfine transfers run on an independent laser; by default they cost
     no blockade-limited time.  Post-processing gates are free.
     """
-    if not omega > 0:  # a NaN fails too
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:  # a NaN fails too
+        raise ValueError("omega must be finite and positive")
+    timed_transfers = hyperfine_policy is HyperfinePolicy.SAME_AS_OMEGA
     total = 0.0
     for step in plan.steps:
-        if step.transition is Transition.GROUND_RYDBERG:
-            total += abs(step.theta) / (2.0 * omega)
-        elif hyperfine_policy is HyperfinePolicy.SAME_AS_OMEGA:
+        if timed_transfers or step.transition is Transition.GROUND_RYDBERG:
             total += abs(step.theta) / (2.0 * omega)
     return total

@@ -3,7 +3,7 @@
 import numpy as np
 
 from rydchain.dynamics import (
-    MAX_DENSE_DIM, PulseStep, _ideal_on_array, _pulse_on_array, interaction_diagonal,
+    MAX_DENSE_DIM, _ideal_on_array, _pulse_on_array, interaction_diagonal,
 )
 from rydchain.errors import CapacityError
 from rydchain.protocols import ProtocolKind, RealisticBackend
@@ -31,8 +31,7 @@ def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
         else:
             amp = _ideal_on_array(amp, n, dim, step, plan.blockade_range)
     for post in plan.post_steps:
-        step = PulseStep(post.site, post.transition, post.theta)
-        amp = _ideal_on_array(amp, n, dim, step, 0, 1j ** (post.phase_quarter_turns % 4))
+        amp = _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
     return check_norm(amp)
 
 

@@ -10,7 +10,6 @@ from rydchain.analytics import (
     leftmost_fidelity_peak,
     rk_ground_state_overlap,
     rk_point,
-    transport_two_atom_amplitudes,
     two_atom_coefficients,
 )
 from rydchain.dynamics import InteractionRange
@@ -63,17 +62,25 @@ class TestTwoAtomCoefficients:
             with pytest.raises(ValueError):
                 two_atom_coefficients(1.0, omega)
 
+    @pytest.mark.parametrize("v0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_v0_rejected(self, v0):
+        # a NaN v0 once gave delta=0.0, NaN amplitudes and a NaN GHZ fidelity
+        with pytest.raises(ValueError):
+            two_atom_coefficients(v0, 1.0)
+        with pytest.raises(ValueError):
+            ghz_fidelity_two_atoms(v0, 1.0)
+
 
 class TestTransportAmplitudes:
     @pytest.mark.parametrize("ratio", np.linspace(0.5, 40, 20))
     def test_branches_match_simulation(self, ratio):
         from rydchain.protocols import ProtocolPlan
 
-        amps = transport_two_atom_amplitudes(ratio, 1.0)
+        c = two_atom_coefficients(ratio, 1.0)
         ham = chain_hamiltonian(2, ratio)
         for alpha, beta, checks in (
-            (1.0, 0.0, {0b01: amps.alpha_01, 0b11: amps.alpha_11}),
-            (0.0, 1.0, {0b00: amps.beta_00, 0b01: amps.beta_01, 0b11: amps.beta_11}),
+            (1.0, 0.0, {0b01: c.gamma, 0b11: c.leak}),
+            (0.0, 1.0, {0b00: -c.gamma, 0b01: -c.leak**2, 0b11: c.delta_prime}),
         ):
             plan = plan_transport(2, alpha, beta)
             bare = ProtocolPlan(plan.kind, 2, TWO, plan.steps, (), alpha=alpha, beta=beta)
@@ -90,10 +97,10 @@ class TestTransportAmplitudes:
         u2 = expm(-1j * (2 * omega * np.kron(np.eye(2), sy) + h_int) * t)
         u1 = expm(-1j * (2 * omega * np.kron(sy, np.eye(2)) + h_int) * t)
         final = u1 @ u2 @ np.array([0, 0, 1, 0], complex)  # beta branch from |10>
-        amps = transport_two_atom_amplitudes(ratio, omega)
-        assert abs(final[0b00] - amps.beta_00) < 1e-12
-        assert abs(final[0b01] - amps.beta_01) < 1e-12
-        assert abs(final[0b11] - amps.beta_11) < 1e-12
+        c = two_atom_coefficients(ratio, omega)
+        assert abs(final[0b00] + c.gamma) < 1e-12
+        assert abs(final[0b01] + c.leak**2) < 1e-12
+        assert abs(final[0b11] - c.delta_prime) < 1e-12
 
 
 class TestGhzFidelityCurve:
@@ -243,8 +250,10 @@ class TestNMax:
         pytest.param(52.78, 7.6, np.nan, id="tau"),
         pytest.param(52.78, np.nan, 2.0, id="omega"),
         pytest.param(np.nan, 7.6, 2.0, id="v0"),
+        pytest.param(52.78, np.inf, 2.0, id="omega-inf"),
+        pytest.param(np.inf, 7.6, 2.0, id="v0-inf"),
     ])
     def test_nan_input_rejected(self, v0, omega, tau):
-        # a NaN budget or drive once passed every guard and returned the cap, 1000
+        # a NaN budget or a NaN or infinite drive once passed every guard and returned the cap, 1000
         with pytest.raises(ValueError):
             estimate_n_max(ProtocolKind.TRANSPORT, v0, omega, tau)

@@ -302,9 +302,11 @@ class TestNmaxCommand:
         pytest.param("--ratio", "nan", id="nan-ratio"),
         pytest.param("--ratio", "0", id="zero-ratio"),
         pytest.param("--ratio", "-6.9", id="negative-ratio"),
+        pytest.param("--v0", "inf", id="inf-v0"),
     ])
     def test_invalid_input_exits_2(self, capsys, flag, value):
-        # a NaN budget once printed =1000 on every row; --ratio 0 died in a ZeroDivisionError
+        # a NaN budget or an infinite --v0 once printed =1000 on every row;
+        # --ratio 0 died in a ZeroDivisionError
         args = {"--tau-exp": "2.0", "--v0": "52.78", "--ratio": "6.9", flag: value}
         assert run_cli("nmax", *(item for pair in args.items() for item in pair)) == 2
         assert capsys.readouterr().out == ""

@@ -280,10 +280,32 @@ class TestPlanValidation:
         ),
         pytest.param((PulseStep(4, G_R, np.pi / 2),), (), id="step-beyond-chain"),
         pytest.param((), (PostStep(4, G_R, np.pi / 2),), id="post-beyond-chain"),
+        # a pulse runs without the post-step's phase, which was once dropped silently
+        pytest.param((PostStep(1, G_R, np.pi / 2, 1),), (), id="post-step-among-steps"),
+        # a plain pulse among the post-steps once failed in execute with an AttributeError
+        pytest.param((), (PulseStep(1, G_R, np.pi / 2),), id="pulse-among-post-steps"),
     ])
     def test_bad_plan_raises_when_built(self, steps, post):
         with pytest.raises(ValueError):
             ProtocolPlan(ProtocolKind.GHZ2, 3, TWO, steps, post)
+
+    @pytest.mark.parametrize("site,theta", [
+        pytest.param(2, 4.0, id="theta-out-of-range"),
+        pytest.param(0, np.pi / 2, id="site-zero"),
+    ])
+    def test_bad_post_step_raises_when_built(self, site, theta):
+        # a post-step was once checked only when execute copied it into a PulseStep
+        with pytest.raises(ValueError):
+            PostStep(site, G_R, theta)
+
+    @pytest.mark.parametrize("kind", [ProtocolKind.GHZ2, ProtocolKind.DIMER_MPS])
+    def test_non_transport_plan_refuses_a_qubit(self, kind):
+        # alpha/beta on a GHZ plan once ran exactly like the plan without them
+        steps = plan_ghz(2, TWO).steps
+        with pytest.raises(ValueError, match="alpha/beta"):
+            ProtocolPlan(kind, 2, TWO, steps, alpha=0.6, beta=0.8)
+        with pytest.raises(ValueError, match="alpha/beta"):
+            ProtocolPlan(kind, 2, TWO, steps, beta=1.0)
 
     @pytest.mark.parametrize("blockade_range", [-1, np.nan])
     def test_negative_blockade_range_raises_when_built(self, blockade_range):
@@ -451,6 +473,8 @@ class TestDuration:
             protocol_duration(plan_ghz(2, TWO), 0.0)
 
     def test_nan_omega_rejected(self):
-        with pytest.raises(ValueError):
-            protocol_duration(plan_ghz(2, TWO), np.nan)
+        # an infinite omega once made every duration 0
+        for omega in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                protocol_duration(plan_ghz(2, TWO), omega)
 

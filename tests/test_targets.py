@@ -3,7 +3,7 @@ import pytest
 
 from conftest import chain_hamiltonian, random_state
 from oracles import dimer_target_mps
-from rydchain.analytics import transport_two_atom_amplitudes
+from rydchain.analytics import two_atom_coefficients
 from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import RealisticBackend, execute, plan_transport
 from rydchain.statekit import LevelScheme, basis_digits, reduce_to_site
@@ -146,7 +146,6 @@ class TestFidelityPure:
 
     def test_ghz_two_atom_value(self):
         """Realistic 2-atom GHZ output lands at |1+gamma|^2/4."""
-        from rydchain.analytics import two_atom_coefficients
         from rydchain.protocols import plan_ghz
 
         ratio = 11.3
@@ -199,12 +198,12 @@ class TestFidelityMixed:
         plan = plan_transport(2, alpha, beta)
         out = execute(plan, RealisticBackend(chain_hamiltonian(2, ratio), 1.0))
         rho = reduce_to_site(out, 2)
-        amps = transport_two_atom_amplitudes(ratio, 1.0)
+        c = two_atom_coefficients(ratio, 1.0)
         # assemble the corrected final state from the closed-form branches
         pre = np.zeros(4, complex)
-        pre[0b01] = alpha * amps.alpha_01 + beta * amps.beta_01
-        pre[0b11] = alpha * amps.alpha_11 + beta * amps.beta_11
-        pre[0b00] = beta * amps.beta_00
+        pre[0b01] = alpha * c.gamma - beta * c.leak**2
+        pre[0b11] = alpha * c.leak + beta * c.delta_prime
+        pre[0b00] = -beta * c.gamma
         post = np.zeros(4, complex)
         post[0b00], post[0b01] = pre[0b01], -pre[0b00]
         post[0b10], post[0b11] = pre[0b11], -pre[0b10]

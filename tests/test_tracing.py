@@ -1,21 +1,32 @@
 """The benchmark's tracer (perfbench/spans.py) wraps rydchain functions by
-module and name; a rename must fail here rather than when a traced run starts."""
+module and name, and its work model (perfbench/workloads.py) counts the
+pulses of rydchain's plans; a rename or a changed plan must fail here rather
+than when a benchmark run starts."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from rydchain.protocols import execute
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
+    spec.loader.exec_module(module)
+    return module
 
 
 def traced_layers() -> dict:
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LAYERS
+    return perfbench_module("spans").LAYERS
 
 
 def test_every_traced_function_resolves():
@@ -31,3 +42,11 @@ def test_every_traced_function_resolves():
 def test_execute_takes_the_plan_first():
     # the tracer's execute hook reads the plan from args[0]
     assert next(iter(inspect.signature(execute).parameters)) == "plan"
+
+
+@pytest.mark.parametrize("name", ["disorder-table", "large-chain", "cli-pipeline"])
+def test_work_counts_match_the_stored_ones(name, tmp_path):
+    # perfbench/child.py marks a run incorrect when these differ
+    workloads = perfbench_module("workloads")
+    stored = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["counts"]
+    assert workloads.WORKLOADS[name](workloads.DEFAULT_SEED, tmp_path).counts() == stored[name]

@@ -79,23 +79,6 @@ def ghz_fidelity_two_atoms(v0: float, omega: float) -> float:
     return float(abs(1.0 + two_atom_coefficients(v0, omega).gamma) ** 2 / 4.0)
 
 
-def leftmost_fidelity_peak() -> float:
-    """Location (in V0/Omega) of the first local maximum of the two-atom fidelity."""
-    grid = np.linspace(0.5, 30.0, 20000)
-    f = np.array([ghz_fidelity_two_atoms(v, 1.0) for v in grid])
-    interior = np.where((f[1:-1] > f[:-2]) & (f[1:-1] > f[2:]))[0]
-    if len(interior) == 0:
-        raise NumericalError("no interior fidelity maximum found")
-    i = interior[0] + 1
-    res = scipy.optimize.minimize_scalar(
-        lambda v: -ghz_fidelity_two_atoms(v, 1.0),
-        bounds=(grid[i - 1], grid[i + 1]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x)
-
-
 # ---------------------------------------------------------------------------
 # solvable-point ground-state check
 

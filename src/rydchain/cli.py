@@ -132,6 +132,10 @@ def cmd_mps_areas(args) -> int:
     thetas = mps_area_schedule(args.n, args.z, args.blockade_range)
     poly = mps_area_schedule_polynomial(args.n, args.z, args.blockade_range)
     disagreement = float(np.abs(thetas - poly).max())
+    if not disagreement <= 1e-8:  # a NaN disagreement fails too; nothing is written
+        raise NumericalError(
+            f"recursion and polynomial schedules disagree by {disagreement:.3e}"
+        )
     out = Path(args.out)
     write_manifest(out, "mps-areas", {
         "n": args.n, "z": _fmt(args.z), "R": args.blockade_range,
@@ -141,10 +145,6 @@ def cmd_mps_areas(args) -> int:
         out.with_suffix(".csv"), "k,theta", [f"{k + 1},{_fmt(th)}" for k, th in enumerate(thetas)]
     )
     print(f"wrote {out.with_suffix('.csv')}; methods agree within {disagreement:.3e}")
-    if not disagreement <= 1e-8:  # a NaN disagreement fails too
-        raise NumericalError(
-            f"recursion and polynomial schedules disagree by {disagreement:.3e}"
-        )
     return 0
 
 

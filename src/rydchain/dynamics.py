@@ -2,12 +2,18 @@
 
 One per-site kernel, :func:`_rotate_pairs`, writes every driven pair: for
 each frozen configuration of the other atoms it mixes the two driven levels
-of the addressed atom by a 2x2 matrix.  The ideal gate, the realistic pulse
-and the post-processing gates only compute that matrix.  The kernel acts on
-raw amplitude arrays and runs only through :func:`rydchain.protocols.execute`,
-whose plan has checked every site, transition and the blockade range when it
-was built.  It addresses one atom through :func:`rydchain.statekit.site_view`,
-the one home of the basis layout.
+of the addressed atom by a 2x2 matrix [[u_lo, -u_off], [u_off, u_hi]] of
+complex entries, and on a three-level chain multiplies the undriven level
+by u_idle.  The ideal gate and the post-processing gates pass phase * cos
+and phase * sin (and u_idle = phase); the realistic pulse takes its entries
+from :func:`_pulse_coefficients`, which works elementwise over blocks, so
+:func:`rydchain.protocols.execute` computes the entries of a whole chunk of
+pulses in one pass and :func:`_pulse_on_array` is its one-pulse case.  The
+kernel acts on raw amplitude arrays and runs only through
+:func:`rydchain.protocols.execute`, whose plan has checked every site,
+transition and the blockade range when it was built.  It addresses one atom
+through :func:`rydchain.statekit.site_view`, the one home of the basis
+layout.
 
 Rotation convention
 -------------------
@@ -72,6 +78,11 @@ class Transition(Enum):
         if self is Transition.GROUND_RYDBERG:
             return (GROUND, RYDBERG)
         return (HYPERFINE, RYDBERG)
+
+    @property
+    def idle_level(self) -> int:
+        """The level of a three-level atom that this transition leaves undriven."""
+        return HYPERFINE if self is Transition.GROUND_RYDBERG else GROUND
 
 
 @dataclass(frozen=True)
@@ -195,20 +206,23 @@ def _half_tables(n_sites: int, local_dim: int):
 # ---------------------------------------------------------------------------
 # the per-site kernel on the (pre, level, post) view of statekit.site_view
 
-def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, phase, c, ws, ds, rest):
+def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, u_lo, u_off, u_hi, u_idle=None):
     """For every frozen configuration of the other atoms, mix the pair that
-    ``step`` drives by phase * [[c + i ws, -ds], [ds, c - i ws]] (scalars or flat
-    arrays over those configurations); a three-level chain passes its undriven
-    amplitudes as ``rest``, a fresh array that receives the pair."""
+    ``step`` drives by [[u_lo, -u_off], [u_off, u_hi]] (scalars or flat arrays
+    over those configurations); a three-level chain multiplies its undriven
+    level by ``u_idle``."""
     lo, hi = step.transition.levels
     view = site_view(amp, n_sites, local_dim, step.site)
-    new = np.empty_like(view) if rest is None else rest.reshape(view.shape)
+    new = np.empty_like(view)
     # level-major copies, row k = level k in basis order: ufuncs cost more per
     # call on the strided 2-D slices of the view than on one flat block
     a_rows = view.transpose(1, 0, 2).reshape(local_dim, -1)
     a_lo, a_hi = a_rows[lo], a_rows[hi]
-    new[:, lo] = (phase * ((c + 1j * ws) * a_lo - ds * a_hi)).reshape(len(view), -1)
-    new[:, hi] = (phase * (ds * a_lo + (c - 1j * ws) * a_hi)).reshape(len(view), -1)
+    new[:, lo] = (u_lo * a_lo - u_off * a_hi).reshape(len(view), -1)
+    new[:, hi] = (u_off * a_lo + u_hi * a_hi).reshape(len(view), -1)
+    if local_dim == 3:
+        idle = step.transition.idle_level
+        new[:, idle] = (a_rows[idle] * u_idle).reshape(len(view), -1)
     return new.reshape(-1)
 
 
@@ -234,27 +248,64 @@ def _none_rydberg(n_sites, local_dim):
 def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int, phase=1):
     """``phase`` times the theta rotation, which a blocked configuration skips."""
     free = _free_of_blockade(n_sites, local_dim, step.site, radius)
-    c = np.where(free, np.cos(step.theta), 1.0)
-    s = np.where(free, np.sin(step.theta), 0.0)
-    rest = None if local_dim == 2 else amp * phase
-    return _rotate_pairs(amp, n_sites, local_dim, step, phase, c, 0.0, s, rest)
+    c = phase * np.where(free, np.cos(step.theta), 1.0)
+    s = phase * np.where(free, np.sin(step.theta), 0.0)
+    return _rotate_pairs(amp, n_sites, local_dim, step, c, s, c, phase)
+
+
+def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
+    """Entries (u_lo, u_off, u_hi[, u_idle]) of each closed 2x2 block's
+    evolution for a time t under the drive 2 Omega sign(theta) (``drive``),
+    as :func:`_rotate_pairs` takes them.
+
+    d_lo and d_hi are the block's diagonal energies, d_idle those of the
+    undriven level (None on a two-level chain); with avg and w their mean and
+    half difference and b = hypot(drive, w), the block evolves by
+
+        exp(-i avg t) [[c + i w s, -drive s], [drive s, c - i w s]],
+        c = cos(b t), s = sin(b t) / b,
+
+    and the undriven level by exp(-i d_idle t).  Elementwise over the blocks,
+    so t and drive are scalars for one pulse or arrays over a chunk of them;
+    the entries are built in place, three complex arrays in all.
+    """
+    w = np.subtract(d_hi, d_lo)
+    w *= 0.5
+    b = np.hypot(drive, w)
+    bt = np.multiply(b, t)
+    c = np.cos(bt)
+    s = np.sin(bt, out=bt)
+    s /= b
+    arg = np.add(d_lo, d_hi, out=b)
+    arg *= 0.5
+    arg *= t
+    phase = np.multiply(arg, -1j)
+    np.exp(phase, out=phase)
+    w *= s  # w s
+    u_lo = np.multiply(w, 1j)
+    u_hi = np.subtract(c, u_lo)
+    u_lo += c
+    u_lo *= phase
+    u_hi *= phase
+    s *= drive  # drive s
+    u_off = np.multiply(phase, s, out=phase)
+    if d_idle is None:
+        return u_lo, u_off, u_hi
+    u_idle = np.multiply(np.multiply(d_idle, t), -1j)
+    return u_lo, u_off, u_hi, np.exp(u_idle, out=u_idle)
 
 
 def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
-    """Exact evolution of each closed 2x2 block for t = |theta| / (2 omega)."""
+    """Exact evolution of each closed 2x2 block for t = |theta| / (2 omega):
+    the one-pulse case of :func:`_pulse_coefficients`."""
     lo, hi = step.transition.levels
     t = abs(step.theta) / (2.0 * omega)
     drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
-    # undriven levels of the addressed atom keep their diagonal phase
-    rest = None if local_dim == 2 else amp * np.exp(-1j * e_tot * t)
-    e_rows = site_view(e_tot, n_sites, local_dim, step.site).transpose(1, 0, 2)
-    d_lo, d_hi = e_rows[lo].reshape(-1), e_rows[hi].reshape(-1)
-    avg = 0.5 * (d_lo + d_hi)
-    w = 0.5 * (d_hi - d_lo)
-    b = np.hypot(drive, w)
-    s = np.sin(b * t) / b
-    return _rotate_pairs(amp, n_sites, local_dim, step, np.exp(-1j * avg * t), np.cos(b * t),
-                         w * s, drive * s, rest)
+    e_rows = site_view(e_tot, n_sites, local_dim, step.site).transpose(1, 0, 2).reshape(local_dim, -1)
+    idle = e_rows[step.transition.idle_level] if local_dim == 3 else None
+    coefficients = _pulse_coefficients(e_rows[lo], e_rows[hi], idle, t, drive)
+    del e_rows, idle  # the diagonal rows are not needed while the pairs mix
+    return _rotate_pairs(amp, n_sites, local_dim, step, *coefficients)
 
 
 # ---------------------------------------------------------------------------

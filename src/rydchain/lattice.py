@@ -7,6 +7,7 @@ frequencies in rad/us.  A value quoted as "2 pi x f MHz" enters as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,9 @@ def sample_configuration(
     machine.  Zero widths return the ideal chain unchanged, whatever the seed.
     """
     pos = ideal_configuration(n_sites, spacing_r0)
-    sigma = np.asarray(disorder.sigma)
-    if np.any(sigma > 0):
+    if not disorder.is_none:  # the widths are >= 0, so some is > 0
         rng = np.random.Generator(np.random.Philox(seed))
-        pos = pos + rng.normal(size=pos.shape) * sigma
+        pos = pos + rng.normal(size=pos.shape) * np.asarray(disorder.sigma)
     return pos
 
 
@@ -100,7 +100,10 @@ def realization_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
 
 
 def coupling_matrix(config: np.ndarray, v0: float, r0: float) -> np.ndarray:
-    """Pairwise interaction energies v0 * (r0 / |r_k - r_m|)^6, zero diagonal."""
+    """Pairwise interaction energies v0 * (r0 / |r_k - r_m|)^6, zero diagonal;
+    v0 and r0 must be finite."""
+    if not (math.isfinite(v0) and math.isfinite(r0)):
+        raise ValueError("v0 and r0 must be finite")
     pos = np.asarray(config, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError("configuration must be an (n, 3) array")
@@ -108,12 +111,12 @@ def coupling_matrix(config: np.ndarray, v0: float, r0: float) -> np.ndarray:
         raise GeometryError("non-finite atom position")
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    n = len(pos)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] < 1e-9):
+    diagonal = np.s_[:: len(pos) + 1]
+    dist.flat[diagonal] = np.inf  # an atom is no neighbor of itself
+    if dist.min(initial=np.inf) < 1e-9:
         raise GeometryError("coincident atoms in configuration")
-    with np.errstate(divide="ignore"):
-        V = np.where(off, v0 * (r0 / np.where(off, dist, 1.0)) ** 6, 0.0)
+    V = v0 * (r0 / dist) ** 6
+    V.flat[diagonal] = 0.0  # exactly +0.0, whatever the sign of v0
     return V
 
 

@@ -1,7 +1,9 @@
 """Independent dense oracles for the package's fast paths, used by tests only."""
 
 import numpy as np
+import scipy.optimize
 
+from rydchain.analytics import ghz_fidelity_two_atoms
 from rydchain.dynamics import (
     MAX_DENSE_DIM, _ideal_on_array, _pulse_on_array, interaction_diagonal,
 )
@@ -150,3 +152,28 @@ def dimer_target_mps(n_sites: int, z: float) -> np.ndarray:
     norm = np.linalg.norm(amp)
     amp /= norm
     return amp
+
+
+def leftmost_fidelity_peak() -> float:
+    """Location (in V0/Omega) of the first local maximum of the two-atom GHZ
+    fidelity |1 + gamma|^2 / 4.
+
+    A 20,000-point grid over 0.5..30 brackets the peak with gamma written
+    out here as one array expression (Omega = 1, t = pi/4, tau = sqrt(V0^2 +
+    16)); :func:`rydchain.analytics.ghz_fidelity_two_atoms` then refines it.
+    """
+    v = np.linspace(0.5, 30.0, 20000)
+    tau = np.sqrt(v**2 + 16.0)
+    gamma = np.exp(-0.125j * np.pi * v) * (np.cos(np.pi * tau / 8) + 1j * v / tau * np.sin(np.pi * tau / 8))
+    f = np.abs(1.0 + gamma) ** 2 / 4.0
+    interior = np.flatnonzero((f[1:-1] > f[:-2]) & (f[1:-1] > f[2:]))
+    if len(interior) == 0:
+        raise ValueError("no interior fidelity maximum found")
+    i = interior[0] + 1
+    res = scipy.optimize.minimize_scalar(
+        lambda x: -ghz_fidelity_two_atoms(x, 1.0),
+        bounds=(v[i - 1], v[i + 1]),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return float(res.x)

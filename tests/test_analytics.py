@@ -3,11 +3,11 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian
+from oracles import leftmost_fidelity_peak
 from rydchain.analytics import (
     estimate_n_max,
     fit_exponential_decay,
     ghz_fidelity_two_atoms,
-    leftmost_fidelity_peak,
     rk_ground_state_overlap,
     rk_point,
     two_atom_coefficients,

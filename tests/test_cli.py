@@ -4,6 +4,7 @@ import pytest
 from rydchain import cli, montecarlo
 from rydchain.analytics import ghz_fidelity_two_atoms
 from rydchain.errors import CapacityError, NumericalError
+from rydchain.protocols import mps_area_schedule
 
 
 def run_cli(*argv):
@@ -230,6 +231,16 @@ class TestMpsAreasCommand:
             run_cli("mps-areas", "--n", "3", "--z", "1", "--method", "recursion",
                     "--out", str(tmp_path / "a"))
         assert exc.value.code == 2
+
+    def test_disagreeing_methods_exit_3_and_write_nothing(self, tmp_path, monkeypatch, capsys):
+        def shifted(n_sites, z, blockade_range=1):
+            return mps_area_schedule(n_sites, z, blockade_range) + 1e-6
+
+        monkeypatch.setattr(cli, "mps_area_schedule_polynomial", shifted)
+        code = run_cli("mps-areas", "--n", "6", "--z", "1", "--out", str(tmp_path / "areas"))
+        assert code == 3
+        assert "disagree" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_long_chain_large_z_methods_agree(self, tmp_path):
         out = tmp_path / "areas"

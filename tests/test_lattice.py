@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,22 @@ class TestCouplingMatrix:
         pos = np.array([[0, 0, 0], [0, 0, np.inf]])
         with pytest.raises(GeometryError):
             coupling_matrix(pos, 1.0, 4.1)
+
+    @pytest.mark.parametrize("v0, r0", [(np.inf, 4.1), (-np.inf, 4.1), (np.nan, 4.1), (1.0, np.inf)])
+    def test_nonfinite_strength_or_spacing_rejected(self, v0, r0):
+        with pytest.raises(ValueError, match="finite"):
+            coupling_matrix(ideal_configuration(3, 4.1), v0, r0)
+
+    @pytest.mark.parametrize("v0", [2.5, -2.5, 0.0])
+    def test_pairs_by_formula_and_diagonal_positive_zero(self, v0):
+        pos = sample_configuration(5, 4.1, DISORDER_PRESETS["aniso"], seed=9)
+        V = coupling_matrix(pos, v0, 4.1)
+        for k, m in itertools.product(range(5), repeat=2):
+            if k == m:
+                assert V[k, k] == 0.0 and not np.signbit(V[k, k])
+            else:
+                d = pos[k] - pos[m]
+                assert V[k, m] == v0 * (4.1 / np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)) ** 6
 
 
 def test_truncate_couplings():

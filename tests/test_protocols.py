@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, random_state, run_ideal, run_realistic
-from oracles import initial_amplitudes
+from oracles import execute_full_width, initial_amplitudes
 from rydchain import protocols
 from rydchain.dynamics import (
     HamiltonianSpec,
@@ -17,7 +17,9 @@ from rydchain.dynamics import (
     build_full_hamiltonian,
 )
 from rydchain.errors import CapacityError, NumericalError
+from rydchain.lattice import R0_DEFAULT, coupling_matrix, disorder_preset, sample_configuration
 from rydchain.protocols import (
+    COEF_CHUNK,
     HyperfinePolicy,
     IdealBackend,
     PostStep,
@@ -437,6 +439,57 @@ class TestExecute:
         # NaN and inf were once accepted and failed only inside execute, on the norm check
         with pytest.raises(ValueError, match="omega"):
             RealisticBackend(chain_hamiltonian(2, 6.9), omega)
+
+
+class TestSchedule:
+    """The pulse schedule a plan compiles once for execute."""
+
+    # each plan's pulses fill more than one chunk: several pulses share the
+    # first, and the widest pulse of ghz2/mps N=14 is a chunk of its own
+    STRADDLING = {
+        "ghz2-14": lambda: plan_ghz(14, TWO),
+        "mps-14": lambda: plan_dimer_mps(14, -3.0),
+        "ghz3-8": lambda: plan_ghz(8, THREE),
+        "transport-13": lambda: plan_transport(13, 0.6, 0.8),
+    }
+
+    @pytest.mark.parametrize("name", STRADDLING)
+    @pytest.mark.parametrize("ratio, disorder", [(6.9, "aniso"), (15.5, "iso")])
+    def test_chunked_execute_equals_full_width(self, name, ratio, disorder):
+        plan = self.STRADDLING[name]()
+        chunks = plan.schedule.chunks
+        assert len(chunks) > 1 and chunks[0].stop - chunks[0].first > 1
+        n = plan.n_sites
+        config = sample_configuration(n, R0_DEFAULT, disorder_preset(disorder), 2024)
+        backend = RealisticBackend(HamiltonianSpec(coupling_matrix(config, ratio, R0_DEFAULT)), 1.0)
+        full = execute_full_width(plan, backend, initial_amplitudes(plan))
+        assert np.abs(execute(plan, backend) - full).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", STRADDLING)
+    def test_chunks_tile_the_steps(self, name):
+        plan = self.STRADDLING[name]()
+        schedule = plan.schedule
+        assert schedule is plan.schedule  # compiled once
+        dim = plan.scheme.local_dim
+        blocks = [dim ** (m - 1) for m in schedule.widths]
+        assert [c.first for c in schedule.chunks] == [0] + [c.stop for c in schedule.chunks[:-1]]
+        assert schedule.chunks[-1].stop == len(plan.steps)
+        for chunk in schedule.chunks:
+            total = sum(blocks[chunk.first : chunk.stop])
+            if chunk.index is None:  # one pulse past COEF_CHUNK, read through views
+                assert chunk.stop == chunk.first + 1 and total > COEF_CHUNK
+            else:
+                # one row per level: lo and hi, and on three levels the undriven one
+                assert total <= COEF_CHUNK and chunk.index.shape == (dim, total)
+
+    def test_schedule_memory_is_bounded_by_the_chunk(self):
+        # 32 bytes (two positions, |theta|/2 and the sign) per block of a
+        # gathered chunk, and the gathered pulses sum to about 2 COEF_CHUNK
+        # blocks; the 2^18-entry diagonal alone would be 512 COEF_CHUNK bytes
+        plan = plan_ghz(18, TWO)
+        execute(plan, RealisticBackend(chain_hamiltonian(18, 15.5), 1.0))
+        arrays = [v for c in plan.schedule.chunks for v in vars(c).values() if isinstance(v, np.ndarray)]
+        assert 0 < sum(a.nbytes for a in arrays) <= 128 * COEF_CHUNK
 
 
 class TestDuration:

@@ -15,11 +15,11 @@ evaluated in one place, :func:`two_atom_coefficients`.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dynamics import HamiltonianSpec, InteractionRange, build_full_hamiltonian, ground_state_dense
 from .errors import NumericalError
@@ -153,32 +153,80 @@ class DecayFit:
 
 
 def fit_exponential_decay(points) -> DecayFit:
-    """Least-squares fit of f(N) = a * exp(-b (N - 2)) in linear space."""
+    """Least-squares fit of f(N) = a * exp(-b (N - 2)) in linear space.
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973): for a fixed b the best a is (y.e)/(e.e) with e = exp(-b (N - 2)),
+    so b maximizes the profile (y.e)^2/(e.e).  The root of its derivative is
+    bracketed by doubling steps from b = 0 and then bisected.  e is taken
+    relative to its largest entry, so it stays <= 1 and no exp overflows.
+    The covariance is inv(J^T J) SSR/(n - 2) with the analytic Jacobian
+    J = [e, -a (N - 2) e], which is what curve_fit reports with
+    absolute_sigma=False; it is formed about the peak of e and mapped to
+    (a, b) exactly.
+    """
     pts = [(float(n), float(f)) for n, f in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    ns = np.array([p[0] for p in pts])
+    x = np.array([p[0] for p in pts]) - 2.0
     ys = np.array([p[1] for p in pts])
-    if len(np.unique(ns)) < 2:
+    if not (np.isfinite(x).all() and np.isfinite(ys).all()):
+        raise ValueError("fit points must be finite; a NaN fidelity marks a failed sweep cell")
+    span = float(np.ptp(x))
+    if span == 0.0:
         raise ValueError("degenerate fit input: all N equal")
 
-    def model(n, a, b):
-        return a * np.exp(-b * (n - 2.0))
+    def scaled_basis(b):
+        """e / max(e), x - x_ref and x_ref, the x at which e peaks."""
+        x_ref = x.min() if b >= 0 else x.max()
+        return np.exp(-b * (x - x_ref)), x - x_ref, x_ref
 
-    a0 = ys[np.argmin(ns)]
-    if np.all(ys > 0):
-        slope = np.polyfit(ns, np.log(ys), 1)[0]
-        b0 = max(-slope, 0.0)
-    else:
-        b0 = 0.0
+    def slope_sign(b):
+        """Sign of d/db (y.e)^2/(e.e).  Neither rescaling e nor shifting x changes
+        it, and the shifted x keeps the difference below from cancelling."""
+        e, shifted, _ = scaled_basis(b)
+        ye, se = ys @ e, shifted * e
+        return np.sign(ye * (ye * (e @ se) - (ys @ se) * (e @ e)))
+
+    # the profile rises from b = 0 towards the optimum in this direction
+    direction = slope_sign(0.0)
+    inner = outer = 0.0
+    step = direction / span
+    limit = 350 / span  # keeps every e**2 above the smallest normal float
+    while direction != 0 and slope_sign(outer) != -direction:
+        if abs(outer) >= limit:
+            raise NumericalError(f"decay fit has no finite optimum: |b| exceeds {limit:.4g}")
+        inner, outer, step = outer, direction * min(abs(outer + step), limit), 2 * step
+    while abs(outer - inner) > 4 * np.finfo(float).eps * max(abs(inner), abs(outer), 1 / span):
+        mid = 0.5 * (inner + outer)
+        if slope_sign(mid) == direction:
+            inner = mid
+        else:
+            outer = mid
+    b = 0.5 * (inner + outer)
+
+    e, shifted, x_ref = scaled_basis(b)
+    a_scaled = (ys @ e) / (e @ e)
+    resid = ys - a_scaled * e
+    # Jacobian of a_scaled * exp(-b (x - x_ref)) in (a_scaled, b): well conditioned
+    # even where J in (a, b) is not, because e peaks where x - x_ref = 0
+    jac = np.column_stack([e, -a_scaled * shifted * e])
+    normal = jac.T @ jac
+    det = normal[0, 0] * normal[1, 1] - normal[0, 1] ** 2
+    if not det > 4 * np.finfo(float).eps * normal[0, 0] * normal[1, 1]:
+        raise NumericalError("decay fit is undetermined: singular normal matrix (all fidelities zero?)")
     try:
-        popt, pcov = scipy.optimize.curve_fit(model, ns, ys, p0=[a0, b0], maxfev=10000)
-    except RuntimeError as exc:
-        raise NumericalError(f"decay fit did not converge: {exc}") from exc
-    resid = float(np.sqrt(np.mean((model(ns, *popt) - ys) ** 2)))
-    errs = np.sqrt(np.maximum(np.diag(pcov), 0.0))
-    errs = np.where(np.isfinite(errs), errs, 0.0)
-    return DecayFit(float(popt[0]), float(popt[1]), float(errs[0]), float(errs[1]), resid)
+        scale = math.exp(b * x_ref)
+    except OverflowError:
+        raise NumericalError(f"decay fit amplitude overflows at b = {b:.4g}") from None
+    a = a_scaled * scale
+    # a = a_scaled exp(b x_ref) maps the covariance exactly: d(a, b)/d(a_scaled, b)
+    to_ab = np.array([[scale, a * x_ref], [0.0, 1.0]])
+    cov = to_ab @ np.linalg.inv(normal) @ to_ab.T * (resid @ resid) / (len(ys) - 2)
+    return DecayFit(
+        float(a), float(b), float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1])),
+        float(np.sqrt(np.mean(resid**2))),
+    )
 
 
 # ---------------------------------------------------------------------------

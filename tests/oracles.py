@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.optimize
 
-from rydchain.analytics import ghz_fidelity_two_atoms
+from rydchain.analytics import DecayFit, ghz_fidelity_two_atoms
 from rydchain.dynamics import (
     MAX_DENSE_DIM, _ideal_on_array, _pulse_on_array, interaction_diagonal,
 )
@@ -177,3 +177,38 @@ def leftmost_fidelity_peak() -> float:
         options={"xatol": 1e-10},
     )
     return float(res.x)
+
+
+def reference_decay_fit(points) -> DecayFit:
+    """f(N) = a * exp(-b (N - 2)) fitted by scipy's curve_fit: Levenberg-Marquardt
+    from a log-linear guess, with the analytic Jacobian and tight tolerances.
+
+    Reference for :func:`rydchain.analytics.fit_exponential_decay`, which
+    solves the same least-squares problem by variable projection.  With
+    curve_fit's default forward-difference Jacobian and tolerances its b_err
+    is off by up to 0.4% where b is near 0, and its covariance is inf or
+    wrong when the noise is below about 1e-5.
+    """
+    pts = [(float(n), float(f)) for n, f in points]
+    ns = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+
+    def model(n, a, b):
+        return a * np.exp(-b * (n - 2.0))
+
+    def jacobian(n, a, b):
+        e = np.exp(-b * (n - 2.0))
+        return np.column_stack([e, -a * (n - 2.0) * e])
+
+    a0 = ys[np.argmin(ns)]
+    if np.all(ys > 0):
+        slope = np.polyfit(ns, np.log(ys), 1)[0]
+        b0 = max(-slope, 0.0)
+    else:
+        b0 = 0.0
+    popt, pcov = scipy.optimize.curve_fit(
+        model, ns, ys, p0=[a0, b0], jac=jacobian, maxfev=10000, ftol=1e-14, xtol=1e-14
+    )
+    resid = float(np.sqrt(np.mean((model(ns, *popt) - ys) ** 2)))
+    errs = np.sqrt(np.diag(pcov))
+    return DecayFit(float(popt[0]), float(popt[1]), float(errs[0]), float(errs[1]), resid)

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian
-from oracles import leftmost_fidelity_peak
+from oracles import leftmost_fidelity_peak, reference_decay_fit
 from rydchain.analytics import (
     estimate_n_max,
     fit_exponential_decay,
@@ -13,6 +17,7 @@ from rydchain.analytics import (
     two_atom_coefficients,
 )
 from rydchain.dynamics import InteractionRange
+from rydchain.errors import NumericalError
 from rydchain.protocols import (
     HyperfinePolicy,
     ProtocolKind,
@@ -192,6 +197,54 @@ class TestDecayFit:
             fit_exponential_decay([(2, 0.5), (2, 0.6), (2, 0.7)])
         with pytest.raises(ValueError):
             fit_exponential_decay([(2, 0.5), (3, 0.6)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from([2, 3]), st.integers(3, 9), st.floats(0.3, 1.0), st.floats(-0.05, 0.4),
+        st.floats(0.0, 0.03), st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_fit(self, n0, count, a, b, sigma, seed):
+        ns = np.arange(n0, n0 + count)
+        ys = a * np.exp(-b * (ns - 2)) + sigma * np.random.default_rng(seed).standard_normal(count)
+        fit = fit_exponential_decay(zip(ns, ys))
+        ref = reference_decay_fit(zip(ns, ys))
+        # 24,000 examples of this domain agreed to 2e-8 in a and b, 1e-7 relative in the errors
+        assert fit.a == pytest.approx(ref.a, abs=1e-6)
+        assert fit.b == pytest.approx(ref.b, abs=1e-6)
+        assert fit.a_err == pytest.approx(ref.a_err, rel=1e-5, abs=1e-9)
+        assert fit.b_err == pytest.approx(ref.b_err, rel=1e-5, abs=1e-9)
+        assert fit.residual == pytest.approx(ref.residual, rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("b", [20.0, -20.0], ids=["steep-decay", "steep-growth"])
+    def test_steep_curves_recovered_without_warnings(self, b):
+        # the values span a factor e^140; a growth fit's Jacobian in (a, b) is
+        # ill-conditioned about N = 2, yet both must come back exact and silent
+        ns = np.arange(2, 10)
+        ys = 0.7 * np.exp(-b * (ns - 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_exponential_decay(zip(ns, ys))
+        assert fit.a == pytest.approx(0.7, rel=1e-12)
+        assert fit.b == pytest.approx(b, rel=1e-12)
+
+    def test_all_zero_fidelities_undetermined(self):
+        # b is undetermined; this once returned a = b = 0 with zero errors
+        with pytest.raises(NumericalError, match="undetermined"):
+            fit_exponential_decay([(n, 0.0) for n in range(2, 8)])
+
+    @pytest.mark.parametrize("points", [
+        [(2, 1.0), (3, 0.0), (4, 0.0)], [(2, 0.9), (3, -0.5), (4, 0.2)],
+    ], ids=["step-down", "alternating"])
+    def test_no_finite_optimum_raises(self, points):
+        with pytest.raises(NumericalError, match="no finite optimum"):
+            fit_exponential_decay(points)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_exponential_decay([(2, 0.9), (3, bad), (4, 0.8)])
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_exponential_decay([(2, 0.9), (bad, 0.85), (4, 0.8)])
 
 
 class TestNMax:

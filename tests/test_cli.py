@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -269,6 +274,21 @@ class TestFitCommand:
         assert run_cli("fit", str(data)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_nan_fidelity_exits_2(self, tmp_path, capsys):
+        # a capacity failure leaves a NaN row in a sweep CSV
+        data = tmp_path / "data.csv"
+        data.write_text("N,fidelity\n2,0.9\n3,nan\n4,0.8\n")
+        assert run_cli("fit", str(data)) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_all_zero_fidelities_exit_3(self, tmp_path, capsys):
+        # b is undetermined; this once printed a=0.0 b=0.0 sa=0.0 sb=0.0 and exited 0
+        data = tmp_path / "data.csv"
+        data.write_text("N,fidelity\n" + "\n".join(f"{n},0.0" for n in range(2, 8)))
+        assert run_cli("fit", str(data)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "undetermined" in captured.err
+
 
 class TestRkCheckCommand:
     def test_short_range_overlap(self, capsys):
@@ -349,3 +369,15 @@ def test_grid_parsing():
     for count in (1, 0, -2):
         with pytest.raises(ValueError, match="count must be >= 2"):
             cli.parse_grid(f"1:30:{count}")
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test-only dependency: importing the CLI, and with it every module, must not load it
+    code = (
+        "import importlib, pkgutil, sys, rydchain, rydchain.cli\n"
+        "for m in pkgutil.iter_modules(rydchain.__path__): importlib.import_module('rydchain.' + m.name)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,13 +7,13 @@ complex entries, and on a three-level chain multiplies the undriven level
 by u_idle.  The ideal gate and the post-processing gates pass phase * cos
 and phase * sin (and u_idle = phase); the realistic pulse takes its entries
 from :func:`_pulse_coefficients`, which works elementwise over blocks, so
-:func:`rydchain.protocols.execute` computes the entries of a whole chunk of
-pulses in one pass and :func:`_pulse_on_array` is its one-pulse case.  The
-kernel acts on raw amplitude arrays and runs only through
+:func:`rydchain.protocols.execute` computes the entries of all of a plan's
+gathered pulses in one pass and :func:`_pulse_on_array` is its one-pulse
+case.  The kernel acts on raw amplitude arrays and runs only through
 :func:`rydchain.protocols.execute`, whose plan has checked every site,
 transition and the blockade range when it was built.  It addresses one atom
-through :func:`rydchain.statekit.site_view`, the one home of the basis
-layout.
+through :func:`rydchain.statekit.site_view` and
+:func:`rydchain.statekit.level_rows`, the one home of the basis layout.
 
 Rotation convention
 -------------------
@@ -62,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NumericalError
-from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits, site_view
+from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits, level_rows, site_view
 
 PI_HALF = np.pi / 2
 PI_QUARTER = np.pi / 4
@@ -216,7 +216,7 @@ def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, u_lo, u_off, u_hi, u
     new = np.empty_like(view)
     # level-major copies, row k = level k in basis order: ufuncs cost more per
     # call on the strided 2-D slices of the view than on one flat block
-    a_rows = view.transpose(1, 0, 2).reshape(local_dim, -1)
+    a_rows = level_rows(amp, n_sites, local_dim, step.site)
     a_lo, a_hi = a_rows[lo], a_rows[hi]
     new[:, lo] = (u_lo * a_lo - u_off * a_hi).reshape(len(view), -1)
     new[:, hi] = (u_off * a_lo + u_hi * a_hi).reshape(len(view), -1)
@@ -266,7 +266,7 @@ def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
         c = cos(b t), s = sin(b t) / b,
 
     and the undriven level by exp(-i d_idle t).  Elementwise over the blocks,
-    so t and drive are scalars for one pulse or arrays over a chunk of them;
+    so t and drive are scalars for one pulse or arrays over many pulses' blocks;
     the entries are built in place, three complex arrays in all.
     """
     w = np.subtract(d_hi, d_lo)
@@ -301,7 +301,7 @@ def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
     lo, hi = step.transition.levels
     t = abs(step.theta) / (2.0 * omega)
     drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
-    e_rows = site_view(e_tot, n_sites, local_dim, step.site).transpose(1, 0, 2).reshape(local_dim, -1)
+    e_rows = level_rows(e_tot, n_sites, local_dim, step.site)
     idle = e_rows[step.transition.idle_level] if local_dim == 3 else None
     coefficients = _pulse_coefficients(e_rows[lo], e_rows[hi], idle, t, drive)
     del e_rows, idle  # the diagonal rows are not needed while the pairs mix

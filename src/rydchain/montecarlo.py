@@ -12,6 +12,7 @@ and identical across reruns.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -41,6 +42,13 @@ SHAPE_FIELDS = {
 }
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; raises unless it is an integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     protocol: ProtocolKind
@@ -56,11 +64,12 @@ class SweepSpec:
     beta: complex = 2**-0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "realizations", _integer(self.realizations, "realizations"))
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         if not self.grid or not self.n_list:
             raise ValueError("grid and n_list must each hold at least one value")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(_integer(n, "each n_list entry") for n in self.n_list))
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         if not np.all(np.isfinite(self.grid)):
             raise ValueError("grid values must be finite")

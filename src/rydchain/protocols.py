@@ -26,15 +26,14 @@ post-processing gates.
 
 What of this depends on the plan alone, its :class:`PulseSchedule`, is
 compiled on the first :func:`execute` and kept on the plan: the initial
-prefix, each pulse's width m, and the split of the pulses into chunks.  A
-pulse at width m drives d^(m-1) blocks (one per configuration of the other
-atoms); consecutive pulses share a chunk while their blocks sum to at most
-:data:`COEF_CHUNK`, and a pulse with more blocks is a chunk of its own.  On
-the realistic backend, a chunk's 2x2 block coefficients come from one pass
-over the realization's diagonal, gathered at positions the schedule holds;
-each pulse then only mixes its pairs.  A chunk of one wide pulse holds no
-arrays and reads its diagonal through views, so the schedule never holds a
-table that grows with d^n.
+prefix, each pulse's width m, and the gathered pulses.  A pulse at width m
+drives d^(m-1) blocks (one per configuration of the other atoms), so pulses
+never drive fewer blocks than the ones before them; the leading pulses that
+drive at most :data:`COEF_CHUNK` blocks each are gathered.  On the realistic
+backend, their 2x2 block coefficients come from one pass over the
+realization's diagonal, read at positions the schedule holds; each pulse
+then only mixes its pairs.  A wider pulse reads its diagonal through views,
+so the schedule never holds a table that grows with d^n.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,8 +64,8 @@ from .statekit import (
     check_norm,
     check_qubit,
     ground_tail,
+    level_rows,
     require_capacity,
-    site_view,
 )
 
 
@@ -313,144 +313,112 @@ class RealisticBackend:
 #: arithmetic, so a shorter prefix saves nothing and each growth adds calls.
 MIN_PREFIX_AMPLITUDES = 64
 
-#: Most driven-pair configurations whose block coefficients one pass computes:
-#: consecutive pulses share a pass up to this many, and a pulse with more is a
-#: chunk of its own.  A constant, so no result depends on the host.
+#: Most driven-pair configurations a pulse may drive and still have its block
+#: coefficients gathered with the schedule's other pulses; a pulse with more
+#: reads its diagonal through views.  A constant, so no result depends on the
+#: host.
 COEF_CHUNK = 4096
 
 
 @dataclass(frozen=True)
-class CoefChunk:
-    """Consecutive pulses ``steps[first:stop]`` whose 2x2 block coefficients
-    one pass computes.
+class PulseSchedule:
+    """What :func:`execute` needs of a plan beyond its steps, compiled once.
 
-    ``index`` holds the positions, in the whole chain's diagonal, of each
-    block's driven levels lo and hi and, on three levels, its undriven one:
-    one row per role and one column per block, pulse after pulse in
-    :func:`rydchain.dynamics._rotate_pairs`' order.  ``half_theta`` (|theta|/2)
-    and ``sign`` (sign(theta), +1 for theta = 0) repeat each pulse's value
-    over its blocks, and ``parts`` slices out each pulse's blocks.  A chunk
-    of one pulse past COEF_CHUNK blocks holds no arrays (``index`` is None):
-    it reads its prefix diagonal through views.
+    ``initial`` is the plan's initial state on its first ``start`` sites,
+    every later site in |0>, and ``widths`` each pulse's prefix width m (a
+    pulse grows the prefix when its m exceeds the previous one's).  The
+    pulses ``steps[:len(parts)]``, those driving at most COEF_CHUNK blocks,
+    are gathered: ``index`` holds the positions, in the whole chain's
+    diagonal, of each block's driven levels lo and hi and, on three levels,
+    its undriven one, one row per role and one column per block, pulse after
+    pulse in :func:`rydchain.dynamics._rotate_pairs`' order.  ``half_theta``
+    (|theta|/2) and ``sign`` (sign(theta), +1 for theta = 0) repeat each
+    pulse's value over its blocks, and ``parts`` slices out each pulse's
+    blocks.  Every array is read-only.
     """
 
-    first: int
-    stop: int
-    index: np.ndarray | None = None
-    half_theta: np.ndarray | None = None
-    sign: np.ndarray | None = None
-    parts: tuple[slice, ...] = ()
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """What :func:`execute` needs of a plan beyond its steps, compiled once:
-    the sites in the initial prefix, each pulse's prefix width m (a pulse
-    grows the prefix when its m exceeds the previous one's) and the split of
-    the pulses into chunks."""
-
     start: int
+    initial: np.ndarray
     widths: tuple[int, ...]
-    chunks: tuple[CoefChunk, ...]
+    index: np.ndarray
+    half_theta: np.ndarray
+    sign: np.ndarray
+    parts: tuple[slice, ...]
 
 
 def _compile_schedule(plan: ProtocolPlan) -> PulseSchedule:
     n, dim = plan.n_sites, plan.scheme.local_dim
-    start = 1 if plan.kind is ProtocolKind.TRANSPORT else 0
+    start = 0
     while start < n and dim**start < MIN_PREFIX_AMPLITUDES:
         start += 1
+    if plan.kind is ProtocolKind.TRANSPORT:  # the plan checked its qubit when built
+        qubit = np.array([plan.alpha, plan.beta], dtype=np.complex128)
+        initial = append_ground(qubit, dim, start - 1)
+    else:
+        initial = append_ground(np.ones(1, dtype=np.complex128), dim, start)
     widths, m = [], start
     for step in plan.steps:
         m = max(m, step.site)
         widths.append(m)
-    blocks = [dim ** (width - 1) for width in widths]
-    firsts, total = [], 0
-    for i, count in enumerate(blocks):
-        if not firsts or total + count > COEF_CHUNK:
-            firsts.append(i)
-            total = 0
-        total += count
-    chunks = tuple(
-        CoefChunk(first, stop) if blocks[first] > COEF_CHUNK else _gather_chunk(plan, widths, first, stop)
-        for first, stop in zip(firsts, firsts[1:] + [len(blocks)])
-    )
-    return PulseSchedule(start, tuple(widths), chunks)
-
-
-def _gather_chunk(plan: ProtocolPlan, widths, first: int, stop: int) -> CoefChunk:
-    n, dim = plan.n_sites, plan.scheme.local_dim
-    steps = plan.steps[first:stop]
-    index, parts, offset = [], [], 0
-    for step, m in zip(steps, widths[first:stop]):
+    # widths never decrease, so the pulses that drive at most COEF_CHUNK
+    # blocks are a leading run
+    per_block = [dim ** (m - 1) for m in widths if dim ** (m - 1) <= COEF_CHUNK]
+    steps = plan.steps[: len(per_block)]
+    offsets = list(accumulate(per_block, initial=0))
+    parts = tuple(map(slice, offsets[:-1], offsets[1:]))
+    index = [np.empty((dim, 0), dtype=np.intp)]  # so a plan of no pulses concatenates
+    for step, m in zip(steps, widths):
         roles = step.transition.levels + ((step.transition.idle_level,) if dim == 3 else ())
         # the prefix's positions in the chain, read through the layout helpers
         # (a range slices without allocating the whole chain)
         prefix = np.asarray(ground_tail(range(dim**n), n, dim, m))
-        rows = site_view(prefix, m, dim, step.site).transpose(1, 0, 2).reshape(dim, -1)
-        index.append(rows[list(roles)])
-        parts.append(slice(offset, offset + rows.shape[1]))
-        offset += rows.shape[1]
-    per_block = [part.stop - part.start for part in parts]
+        index.append(level_rows(prefix, m, dim, step.site)[list(roles)])
+    index = np.concatenate(index, axis=1)
     half_theta = np.repeat([abs(step.theta) / 2.0 for step in steps], per_block)
     sign = np.repeat([np.sign(step.theta) if step.theta else 1.0 for step in steps], per_block)
-    index = np.concatenate(index, axis=1)
-    for table in (index, half_theta, sign):
+    for table in (initial, index, half_theta, sign):
         table.setflags(write=False)
-    return CoefChunk(first, stop, index, half_theta, sign, tuple(parts))
-
-
-def _initial_prefix(plan: ProtocolPlan, start: int) -> np.ndarray:
-    """The plan's initial state on its first ``start`` sites, every later site
-    in |0>."""
-    if plan.kind is ProtocolKind.TRANSPORT:  # the plan checked its qubit when built
-        m, amp = 1, np.array([plan.alpha, plan.beta], dtype=np.complex128)
-    else:
-        m, amp = 0, np.ones(1, dtype=np.complex128)
-    return append_ground(amp, plan.scheme.local_dim, start - m)
-
-
-def _chunk_coefficients(chunk: CoefChunk, e_tot: np.ndarray, omega: float):
-    """Block coefficients of every pulse of ``chunk``, in one pass."""
-    rows = e_tot.take(chunk.index)
-    idle = rows[2] if len(rows) == 3 else None
-    return _pulse_coefficients(
-        rows[0], rows[1], idle, chunk.half_theta / omega, chunk.sign * (2.0 * omega)
-    )
+    return PulseSchedule(start, initial, tuple(widths), index, half_theta, sign, parts)
 
 
 def execute(plan: ProtocolPlan, backend) -> np.ndarray:
     """Apply the plan's pulses then its post-processing gates: the one way a
     pulse is run.  Returns the final amplitudes over the plan's whole chain.
 
-    Pulses run on a growing prefix of the chain, chunk by chunk of the plan's
+    Pulses run on a growing prefix of the chain, from the plan's compiled
     schedule (see the module docstring).
     """
     n, dim = plan.n_sites, plan.scheme.local_dim
     require_capacity(n, dim)
     schedule = plan.schedule
-    m = schedule.start
-    amp = _initial_prefix(plan, m)
+    m, amp = schedule.start, schedule.initial.copy()
     realistic = isinstance(backend, RealisticBackend)
     if realistic:
         if backend.hamiltonian.n_sites != n:
             raise ValueError("backend Hamiltonian does not match the plan")
         e_tot = interaction_diagonal(backend.hamiltonian, dim)
+        rows = e_tot.take(schedule.index)
+        t, drive = schedule.half_theta / backend.omega, schedule.sign * (2.0 * backend.omega)
+        coefficients = _pulse_coefficients(rows[0], rows[1], rows[2] if dim == 3 else None, t, drive)
+        del rows
     elif not isinstance(backend, IdealBackend):
         raise TypeError(f"unknown backend {backend!r}")
-    for chunk in schedule.chunks:
-        gathered = realistic and chunk.index is not None
-        coefficients = _chunk_coefficients(chunk, e_tot, backend.omega) if gathered else None
-        for i in range(chunk.first, chunk.stop):
-            step, width = plan.steps[i], schedule.widths[i]
-            if width > m:
-                amp, m = append_ground(amp, dim, width - m), width
-            if not realistic:
-                amp = _ideal_on_array(amp, m, dim, step, plan.blockade_range)
-            elif gathered:
-                part = chunk.parts[i - chunk.first]
-                amp = _rotate_pairs(amp, m, dim, step, *[u[part] for u in coefficients])
-            else:
-                amp = _pulse_on_array(amp, m, dim, step, ground_tail(e_tot, n, dim, m), backend.omega)
+    gathered = len(schedule.parts)
+    for i, (step, width) in enumerate(zip(plan.steps, schedule.widths)):
+        if width > m:
+            amp, m = append_ground(amp, dim, width - m), width
+        if not realistic:
+            amp = _ideal_on_array(amp, m, dim, step, plan.blockade_range)
+        elif i < gathered:
+            part = schedule.parts[i]
+            amp = _rotate_pairs(amp, m, dim, step, *[u[part] for u in coefficients])
+            if i + 1 == gathered:
+                # released before the wide pulses allocate their d^m arrays:
+                # held through them, they raised a ghz2 N = 18 run's minor
+                # page faults by about 4% (glibc malloc)
+                del coefficients
+        else:
+            amp = _pulse_on_array(amp, m, dim, step, ground_tail(e_tot, n, dim, m), backend.omega)
     if m < n:
         amp = append_ground(amp, dim, n - m)
     for post in plan.post_steps:

@@ -70,6 +70,13 @@ def site_view(array: np.ndarray, n_sites: int, local_dim: int, site: int) -> np.
     return array.reshape(shape + array.shape[1:])
 
 
+def level_rows(array: np.ndarray, n_sites: int, local_dim: int, site: int) -> np.ndarray:
+    """Flat ``array`` in level-major order, shaped ``(d, d**(n_sites-1))``:
+    row k holds the entries with ``site`` at level k, in the basis order of
+    the other atoms.  A copy, or a view when ``site`` is 1."""
+    return site_view(array, n_sites, local_dim, site).transpose(1, 0, 2).reshape(local_dim, -1)
+
+
 def ground_tail(array: np.ndarray, n_sites: int, local_dim: int, prefix_sites: int) -> np.ndarray:
     """Strided view of the entries of ``array`` (basis index on axis 0) whose
     sites past ``prefix_sites`` are all |0>, in the prefix's basis order."""

@@ -20,6 +20,10 @@ CASES = {
     "mps_R2_iso": "--protocol mps --R 2 --n 3,4,5,6 --grid 10:30:3 --disorder iso"
     " --realizations 25 --seed 11",
     "ghz2_none": "--protocol ghz2 --n 2,4,6,8 --grid 2:30:8 --disorder none --realizations 10 --seed 11",
+    # the widest pulses at N = 14 (two levels) and N = 9 (three) drive more
+    # than COEF_CHUNK blocks
+    "ghz2_wide_aniso": "--protocol ghz2 --n 13,14 --grid 6.9,15.5 --disorder aniso --realizations 4 --seed 11",
+    "ghz3_wide_iso": "--protocol ghz3 --n 8,9 --grid 6.9,15.5 --disorder iso --realizations 4 --seed 11",
 }
 
 FLOAT_COLUMNS = {"v0_over_omega", "mean_fidelity", "std_error", "min", "max"}

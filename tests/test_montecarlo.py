@@ -183,6 +183,21 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="at least one value"):
             make_spec(**{field: ()})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_list", (2.7,)), ("n_list", (2, 3.0)), ("n_list", (True,)),
+        ("realizations", True), ("realizations", 2.5), ("realizations", 3.0),
+    ], ids=["n2.7", "n3.0", "n-true", "r-true", "r2.5", "r3.0"])
+    def test_non_integer_count_rejected(self, field, value):
+        # n_list=(2.7,) once ran and reported N = 2, realizations=True ran
+        # once and wrote True to the CSV, and 2.5 died inside the first cell
+        with pytest.raises(ValueError, match="integer"):
+            make_spec(**{field: value})
+
+    def test_numpy_integer_counts_become_ints(self):
+        spec = make_spec(n_list=(np.int64(3),), realizations=np.int32(4))
+        assert spec.n_list == (3,) and spec.realizations == 4
+        assert type(spec.n_list[0]) is int and type(spec.realizations) is int
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):
         # -3 once ran serially while the manifest recorded workers=-3

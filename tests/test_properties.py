@@ -168,24 +168,25 @@ def test_interaction_diagonal_matches_per_index_oracle(local_dim, n, seed):
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from(list(ProtocolKind)),
-    st.integers(2, 10),
+    st.integers(2, 14),
     st.sampled_from(["iso", "aniso"]),
     st.floats(1.0, 40.0),
+    st.floats(0.5, 2.0),
     st.booleans(),
     st.integers(1, 2),
     st.integers(0, 2**32 - 1),
 )
-def test_prefix_execution_equals_full_width(kind, n, disorder, ratio, realistic, radius, seed):
+def test_prefix_execution_equals_full_width(kind, n, disorder, ratio, omega, realistic, radius, seed):
+    # n reaches pulses past COEF_CHUNK blocks (2^13 at n = 14, 3^8 at n = 9)
     if kind is ProtocolKind.GHZ3:
-        n = min(n, 8)
+        n = min(n, 9)
     rng = np.random.default_rng(seed)
     plan = plan_for(kind, n, z=float(rng.uniform(-3.0, 3.0)))
     if realistic:
         config = sample_configuration(n, R0_DEFAULT, disorder_preset(disorder), seed)
         detuning = rng.uniform(-2.0, 2.0, n)
-        backend = RealisticBackend(
-            HamiltonianSpec(coupling_matrix(config, ratio, R0_DEFAULT), detuning), 1.0
-        )
+        couplings = coupling_matrix(config, ratio * omega, R0_DEFAULT)
+        backend = RealisticBackend(HamiltonianSpec(couplings, detuning), omega)
     else:
         plan, backend = dataclasses.replace(plan, blockade_range=radius), IdealBackend()
     prefix = execute(plan, backend)

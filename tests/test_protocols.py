@@ -444,51 +444,71 @@ class TestExecute:
 class TestSchedule:
     """The pulse schedule a plan compiles once for execute."""
 
-    # each plan's pulses fill more than one chunk: several pulses share the
-    # first, and the widest pulse of ghz2/mps N=14 is a chunk of its own
-    STRADDLING = {
+    # the widest pulses of ghz2/mps N=14, ghz3 N=9 and transport N=14 drive
+    # more than COEF_CHUNK blocks, so these plans straddle the gathered/wide
+    # boundary; every pulse of ghz3 N=8 is gathered, and the widest of
+    # transport N=13 drive exactly COEF_CHUNK blocks
+    PLANS = {
         "ghz2-14": lambda: plan_ghz(14, TWO),
         "mps-14": lambda: plan_dimer_mps(14, -3.0),
         "ghz3-8": lambda: plan_ghz(8, THREE),
+        "ghz3-9": lambda: plan_ghz(9, THREE),
         "transport-13": lambda: plan_transport(13, 0.6, 0.8),
+        "transport-14": lambda: plan_transport(14, 0.6, 0.8),
     }
+    STRADDLING = ("ghz2-14", "mps-14", "ghz3-9", "transport-14")
 
-    @pytest.mark.parametrize("name", STRADDLING)
+    @pytest.mark.parametrize("name", PLANS)
     @pytest.mark.parametrize("ratio, disorder", [(6.9, "aniso"), (15.5, "iso")])
     def test_chunked_execute_equals_full_width(self, name, ratio, disorder):
-        plan = self.STRADDLING[name]()
-        chunks = plan.schedule.chunks
-        assert len(chunks) > 1 and chunks[0].stop - chunks[0].first > 1
+        plan = self.PLANS[name]()
+        gathered = len(plan.schedule.parts)
+        assert gathered > 1 and (gathered < len(plan.steps)) == (name in self.STRADDLING)
         n = plan.n_sites
         config = sample_configuration(n, R0_DEFAULT, disorder_preset(disorder), 2024)
         backend = RealisticBackend(HamiltonianSpec(coupling_matrix(config, ratio, R0_DEFAULT)), 1.0)
         full = execute_full_width(plan, backend, initial_amplitudes(plan))
         assert np.abs(execute(plan, backend) - full).max() <= 1e-14
 
-    @pytest.mark.parametrize("name", STRADDLING)
+    @pytest.mark.parametrize("name", PLANS)
     def test_chunks_tile_the_steps(self, name):
-        plan = self.STRADDLING[name]()
+        plan = self.PLANS[name]()
         schedule = plan.schedule
         assert schedule is plan.schedule  # compiled once
         dim = plan.scheme.local_dim
         blocks = [dim ** (m - 1) for m in schedule.widths]
-        assert [c.first for c in schedule.chunks] == [0] + [c.stop for c in schedule.chunks[:-1]]
-        assert schedule.chunks[-1].stop == len(plan.steps)
-        for chunk in schedule.chunks:
-            total = sum(blocks[chunk.first : chunk.stop])
-            if chunk.index is None:  # one pulse past COEF_CHUNK, read through views
-                assert chunk.stop == chunk.first + 1 and total > COEF_CHUNK
-            else:
-                # one row per level: lo and hi, and on three levels the undriven one
-                assert total <= COEF_CHUNK and chunk.index.shape == (dim, total)
+        parts = schedule.parts
+        # the gathered pulses are steps[:len(parts)]: each drives at most
+        # COEF_CHUNK blocks, and every later pulse more
+        gathered = len(parts)
+        assert max(blocks[:gathered]) <= COEF_CHUNK
+        assert all(count > COEF_CHUNK for count in blocks[gathered:])
+        assert (gathered < len(blocks)) == (name in self.STRADDLING)
+        # each pulse's blocks follow the previous pulse's, from 0 to K
+        assert [part.start for part in parts] == [0] + [part.stop for part in parts[:-1]]
+        assert [part.stop - part.start for part in parts] == blocks[:gathered]
+        total = parts[-1].stop
+        # one row per level: lo and hi, and on three levels the undriven one
+        assert schedule.index.shape == (dim, total)
+        assert schedule.half_theta.shape == schedule.sign.shape == (total,)
+        arrays = [v for v in vars(schedule).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
+
+    def test_execute_returns_its_own_array(self):
+        # with no pulse and no growth, the final state is the initial prefix:
+        # execute must copy it, not hand out the schedule's read-only array
+        plan = ProtocolPlan(ProtocolKind.GHZ2, 3, TWO, ())
+        final = execute(plan, IdealBackend())
+        assert final.flags.writeable and not np.shares_memory(final, plan.schedule.initial)
+        assert np.array_equal(final, initial_amplitudes(plan))
 
     def test_schedule_memory_is_bounded_by_the_chunk(self):
-        # 32 bytes (two positions, |theta|/2 and the sign) per block of a
-        # gathered chunk, and the gathered pulses sum to about 2 COEF_CHUNK
-        # blocks; the 2^18-entry diagonal alone would be 512 COEF_CHUNK bytes
+        # 32 bytes (two positions, |theta|/2 and the sign) per gathered block,
+        # and the gathered pulses sum to about 2 COEF_CHUNK blocks; the
+        # 2^18-entry diagonal alone would be 512 COEF_CHUNK bytes
         plan = plan_ghz(18, TWO)
         execute(plan, RealisticBackend(chain_hamiltonian(18, 15.5), 1.0))
-        arrays = [v for c in plan.schedule.chunks for v in vars(c).values() if isinstance(v, np.ndarray)]
+        arrays = [v for v in vars(plan.schedule).values() if isinstance(v, np.ndarray)]
         assert 0 < sum(a.nbytes for a in arrays) <= 128 * COEF_CHUNK
 
 

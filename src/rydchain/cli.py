@@ -103,6 +103,9 @@ def cmd_sweep(args) -> int:
         interaction_range=InteractionRange(args.range),
         **_shape_fields(args, kind),
     )
+    out = Path(args.out)
+    if not out.parent.is_dir():  # checked before the cells run, not when the CSV is written
+        raise FileNotFoundError(f"output directory {str(out.parent)!r} does not exist")
     records = run_sweep(spec, workers=args.workers)
     rows = [
         ",".join([
@@ -111,7 +114,6 @@ def cmd_sweep(args) -> int:
         ])
         for r in records
     ]
-    out = Path(args.out)
     _write_csv(out.with_suffix(".csv"), SWEEP_HEADER, rows)
     write_manifest(out, "sweep", {
         "protocol": args.protocol, "n": args.n, "grid": args.grid,

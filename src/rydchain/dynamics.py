@@ -117,14 +117,17 @@ class InteractionRange(Enum):
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Couplings V_km and per-site detunings Delta_k of the diagonal part of H.
+    """Couplings V_km and per-site detunings Delta_k of the diagonal part of H,
+    for one chain ((n, n) couplings, (n,) detunings) or for a stack of R
+    chains ((R, n, n) and (R, n)), checked once for the whole stack.
 
     Every coupling is used as given; a shorter interaction range is
-    expressed by zeroing couplings before building the spec.  V must be
-    symmetric (V_km = V_mk to a relative 1e-12): the diagonal of H sees only
-    V_km + V_mk, so an asymmetric V would have no effect of its own.  Its
-    diagonal must be exactly zero: since n_k^2 = n_k, a self-coupling V_kk
-    would act as a detuning V_kk/2, which belongs in ``detuning``.
+    expressed by zeroing couplings before building the spec.  Each V must be
+    symmetric (V_km = V_mk to 1e-12 of its own largest coupling): the
+    diagonal of H sees only V_km + V_mk, so an asymmetric V would have no
+    effect of its own.  Its diagonal must be exactly zero: since n_k^2 = n_k,
+    a self-coupling V_kk would act as a detuning V_kk/2, which belongs in
+    ``detuning``.
     """
 
     couplings: np.ndarray
@@ -132,23 +135,26 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         V = np.asarray(self.couplings, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise ValueError("couplings must be a square matrix")
-        asymmetry = np.abs(V - V.T)
-        if asymmetry.size and not asymmetry.max() <= 1e-12 * np.abs(V).max():  # a NaN fails too
-            raise ValueError("couplings must be finite and symmetric")
-        if V.diagonal().any():  # a NaN is nonzero too
+        if V.ndim not in (2, 3) or V.shape[-2] != V.shape[-1]:
+            raise ValueError("couplings must be a square matrix or a stack of them")
+        if V.size:
+            # each matrix against its own scale: a stack's largest coupling
+            # would hide the asymmetry of a much weaker matrix
+            asymmetry = np.abs(V - np.swapaxes(V, -1, -2)).max(axis=(-2, -1))
+            if not np.all(asymmetry <= 1e-12 * np.abs(V).max(axis=(-2, -1))):  # a NaN fails too
+                raise ValueError("couplings must be finite and symmetric")
+        if np.diagonal(V, axis1=-2, axis2=-1).any():  # a NaN is nonzero too
             raise ValueError("couplings must have a zero diagonal")
         object.__setattr__(self, "couplings", V)
         det = self.detuning
-        det = np.zeros(len(V)) if det is None else np.asarray(det, dtype=float)
-        if det.shape != (len(V),):
+        det = np.zeros(V.shape[:-1]) if det is None else np.asarray(det, dtype=float)
+        if det.shape != V.shape[:-1]:
             raise ValueError("detuning array length must match the chain")
         object.__setattr__(self, "detuning", det)
 
     @property
     def n_sites(self) -> int:
-        return len(self.couplings)
+        return self.couplings.shape[-1]
 
 
 #: Chains with at least this many amplitudes split for their diagonal; below
@@ -159,7 +165,9 @@ SPLIT_AMPLITUDES = 1024
 
 def interaction_diagonal(hamiltonian: HamiltonianSpec, local_dim: int) -> np.ndarray:
     """Diagonal of H for every basis configuration: pairwise interaction
-    energy plus the detunings of the Rydberg-occupied sites.
+    energy plus the detunings of the Rydberg-occupied sites.  A (d^n,) array
+    for one chain; for a stack of R chains a (d^n, R) array whose column r
+    is chain r's diagonal, from one product over the stack.
 
     Occupations are 0 or 1, so n_k^2 = n_k and the diagonal is the quadratic
     form n^T M n with M = V/2 + diag(Delta).  With the chain split into halves
@@ -171,16 +179,21 @@ def interaction_diagonal(hamiltonian: HamiltonianSpec, local_dim: int) -> np.nda
     (d^N, N) occupation table is built.  A chain below SPLIT_AMPLITUDES keeps
     A empty: e = q_B.
     """
-    occ_a, pairs_a, pairs_b, occ_b_t = _half_tables(hamiltonian.n_sites, local_dim)
-    M = 0.5 * hamiltonian.couplings + np.diag(hamiltonian.detuning)
-    m = M.ravel()
+    n = hamiltonian.n_sites
+    occ_a, pairs_a, pairs_b, occ_b_t = _half_tables(n, local_dim)
+    M = 0.5 * hamiltonian.couplings
+    sites = np.arange(n)
+    M[..., sites, sites] = hamiltonian.detuning  # the couplings' diagonal is zero
+    m = M.reshape(*M.shape[:-2], -1).T  # (n*n[, R])
     q_b = pairs_b @ m
     if len(occ_a) == 1:  # A is empty
         return q_b
-    e = occ_a @ (M + M.T) @ occ_b_t
+    e = occ_a @ (M + np.swapaxes(M, -1, -2)) @ occ_b_t
+    if e.ndim == 3:
+        e = np.moveaxis(e, 0, -1)  # (A, B, R), so the reshape below copies unless R = 1
     e += (pairs_a @ m)[:, None]
     e += q_b
-    return e.reshape(-1)
+    return e.reshape(-1, *e.shape[2:])
 
 
 @lru_cache(maxsize=64)

@@ -81,17 +81,24 @@ def sample_configuration(
 ) -> np.ndarray:
     """Ideal positions plus independent per-axis Gaussian displacements.
 
-    ``seed`` is an int, a sequence of ints or a ``numpy.random.SeedSequence``
+    ``seed`` is an int, a tuple or array of ints or a ``numpy.random.SeedSequence``
     (such as :func:`realization_seed` returns), any form
-    ``numpy.random.Philox`` accepts.  The stream is a Philox counter
-    generator, so a given seed reproduces the same configuration on any
-    machine.  Zero widths return the ideal chain unchanged, whatever the seed.
+    ``numpy.random.Philox`` accepts, and gives one (n, 3) configuration.  A
+    list of such seeds gives an (R, n, 3) stack, row r drawn from seed r
+    exactly as that seed alone would draw it.  The stream is a Philox
+    counter generator, so a given seed reproduces the same configuration on
+    any machine.  Zero widths return the ideal chain unchanged, whatever the
+    seed.
     """
-    pos = ideal_configuration(n_sites, spacing_r0)
+    stacked = isinstance(seed, list)
+    seeds = seed if stacked else [seed]
+    pos = np.tile(ideal_configuration(n_sites, spacing_r0), (len(seeds), 1, 1))
     if not disorder.is_none:  # the widths are >= 0, so some is > 0
-        rng = np.random.Generator(np.random.Philox(seed))
-        pos = pos + rng.normal(size=pos.shape) * np.asarray(disorder.sigma)
-    return pos
+        noise = np.empty(pos.shape)
+        for row, s in zip(noise, seeds):
+            np.random.Generator(np.random.Philox(s)).standard_normal(out=row)
+        pos += noise * np.asarray(disorder.sigma)
+    return pos if stacked else pos[0]
 
 
 def realization_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
@@ -100,28 +107,30 @@ def realization_seed(master_seed: int, *path: int) -> np.random.SeedSequence:
 
 
 def coupling_matrix(config: np.ndarray, v0: float, r0: float) -> np.ndarray:
-    """Pairwise interaction energies v0 * (r0 / |r_k - r_m|)^6, zero diagonal;
-    v0 and r0 must be finite."""
+    """Pairwise interaction energies v0 * (r0 / |r_k - r_m|)^6, zero diagonal,
+    of an (n, 3) configuration, or of each one of an (R, n, 3) stack as an
+    (R, n, n) stack; v0 and r0 must be finite."""
     if not (math.isfinite(v0) and math.isfinite(r0)):
         raise ValueError("v0 and r0 must be finite")
     pos = np.asarray(config, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError("configuration must be an (n, 3) array")
+    if pos.ndim not in (2, 3) or pos.shape[-1] != 3:
+        raise ValueError("configuration must be an (n, 3) array or an (R, n, 3) stack")
     if not np.all(np.isfinite(pos)):
         raise GeometryError("non-finite atom position")
-    diff = pos[:, None, :] - pos[None, :, :]
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))
-    diagonal = np.s_[:: len(pos) + 1]
-    dist.flat[diagonal] = np.inf  # an atom is no neighbor of itself
+    sites = np.arange(pos.shape[-2])
+    dist[..., sites, sites] = np.inf  # an atom is no neighbor of itself
     if dist.min(initial=np.inf) < 1e-9:
         raise GeometryError("coincident atoms in configuration")
     V = v0 * (r0 / dist) ** 6
-    V.flat[diagonal] = 0.0  # exactly +0.0, whatever the sign of v0
+    V[..., sites, sites] = 0.0  # exactly +0.0, whatever the sign of v0
     return V
 
 
 def truncate_couplings(V: np.ndarray, max_neighbor_distance: int) -> np.ndarray:
-    """Zero all couplings between sites more than ``max_neighbor_distance`` apart."""
-    n = len(V)
+    """Zero all couplings between sites more than ``max_neighbor_distance``
+    apart, in one (n, n) matrix or in each of an (R, n, n) stack."""
+    n = V.shape[-1]
     sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     return np.where(sep <= max_neighbor_distance, V, 0.0)

@@ -1,13 +1,20 @@
 """Disorder-averaged fidelity sweeps over interaction-strength grids.
 
-Each sweep cell (chain length, V0/Omega point) runs one realization loop:
-draw a quenched atom configuration, build its couplings, run the protocol's
-pulses and score the final state.  One position sample is held fixed for
-the whole pulse sequence of a run.  A disorder-free cell runs the same loop
-once, since zero widths give the ideal chain whatever the seed.  Omega is
-set to 1 rad/us and V0 to the grid ratio; fidelities depend on the ratio
-only.  Seeding is positional, so results are independent of worker count
-and identical across reruns.
+Each sweep cell (chain length, V0/Omega point) runs its realizations in
+blocks of max(1, BATCH_AMPLITUDES // d^n).  A block draws one quenched atom
+configuration per realization, each from its own positional seed, as one
+(R, n, 3) stack; builds the (R, n, n) couplings and checks them as one
+HamiltonianSpec; takes the (d^n, R) interaction diagonals in one product;
+runs each realization's pulses; and scores the (d^n, R) final states
+together.  One position sample is held fixed for the whole pulse sequence
+of a run.  The pulses run through one :func:`rydchain.protocols.execute`
+per realization, on that realization's column of diagonals: execute is the
+one way a pulse runs, its pulse kernel does not take a realization axis,
+and perfbench's traced run counts one execute per realization.  A disorder-free cell runs once, since zero widths give the ideal
+chain whatever the seed.  Omega is set to 1 rad/us and V0 to the grid
+ratio; fidelities depend on the ratio only.  Seeding is positional and the
+block size a constant, so results are independent of worker count and
+identical across reruns.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import HamiltonianSpec, InteractionRange
+from .dynamics import HamiltonianSpec, InteractionRange, interaction_diagonal
 from .errors import CapacityError
 from .lattice import (
     R0_DEFAULT,
@@ -31,7 +38,7 @@ from .lattice import (
     truncate_couplings,
 )
 from .protocols import ProtocolKind, ProtocolPlan, RealisticBackend, execute, plan_for
-from .statekit import reduce_to_site
+from .statekit import reduce_to_site, require_capacity
 from .targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure, ghz_target
 
 #: SweepSpec fields that shape one protocol's plan or input; every other
@@ -40,6 +47,11 @@ SHAPE_FIELDS = {
     ProtocolKind.DIMER_MPS: ("z", "blockade_range"),
     ProtocolKind.TRANSPORT: ("alpha", "beta"),
 }
+
+#: Amplitudes of the final states a block of realizations holds at once: a
+#: cell runs max(1, BATCH_AMPLITUDES // d^n) realizations per block.  A
+#: constant, so no result depends on the host.
+BATCH_AMPLITUDES = 2**16
 
 
 def _integer(value, name: str) -> int:
@@ -109,41 +121,48 @@ def _target_state(spec: SweepSpec, plan: ProtocolPlan) -> np.ndarray | None:
     return ghz_target(plan.n_sites, plan.scheme)
 
 
-def _one_realization(
-    spec: SweepSpec,
-    grid_index: int,
-    realization_index: int,
-    plan: ProtocolPlan,
-    target: np.ndarray | None,
-) -> float:
+def _block(
+    spec: SweepSpec, grid_index: int, indices: range, plan: ProtocolPlan, target: np.ndarray | None
+) -> np.ndarray:
+    """Fidelities of the realizations ``indices`` of one cell.  Every stage
+    but the pulses runs once over the block's stack: positions (R, n, 3),
+    couplings (R, n, n), one checked HamiltonianSpec, diagonals (d^n, R) and
+    the scores of the final states (d^n, R); the pulses run through one
+    ``execute`` per realization, on that realization's column of diagonals."""
     n, ratio = plan.n_sites, spec.grid[grid_index]
-    seed = realization_seed(spec.master_seed, n, grid_index, realization_index)
-    config = sample_configuration(n, R0_DEFAULT, spec.disorder, seed)
-    couplings = coupling_matrix(config, ratio, R0_DEFAULT)
+    seeds = [realization_seed(spec.master_seed, n, grid_index, i) for i in indices]
+    configs = sample_configuration(n, R0_DEFAULT, spec.disorder, seeds)
+    couplings = coupling_matrix(configs, ratio, R0_DEFAULT)
     if spec.interaction_range is InteractionRange.NEAREST_NEIGHBOR:
         couplings = truncate_couplings(couplings, 1)
-    final = execute(plan, RealisticBackend(HamiltonianSpec(couplings), omega=1.0))
+    energies = interaction_diagonal(HamiltonianSpec(couplings), plan.scheme.local_dim)
+    finals = [execute(plan, RealisticBackend(column, omega=1.0)) for column in energies.T]
+    # a block of one is a view of its state: no second state-sized array
+    finals = finals[0][:, None] if len(finals) == 1 else np.stack(finals, axis=1)
     if target is None:
-        rho = reduce_to_site(final, n)
+        rho = reduce_to_site(finals, n)
         return fidelity_mixed_single_qubit(np.array([spec.alpha, spec.beta]), rho)
-    return fidelity_pure(target, final)
+    return fidelity_pure(target, finals)
 
 
 def _cell(args) -> SweepRecord:
-    """One (n, grid) cell.  A disorder-free cell runs once, so its value is
-    reported exactly as mean, min and max with zero standard error; a cell
-    over the capacity limit is a NaN row carrying the error message."""
+    """One (n, grid) cell, its realizations run in blocks of
+    max(1, BATCH_AMPLITUDES // d^n).  A disorder-free cell runs once, so its
+    value is reported exactly as mean, min and max with zero standard error;
+    a cell over the capacity limit is a NaN row carrying the error message."""
     spec, plan, grid_index = args
     runs = 1 if spec.disorder.is_none else spec.realizations
     mean = std_err = lo = hi = float("nan")
     error = None
     try:
+        block = max(1, BATCH_AMPLITUDES // require_capacity(plan.n_sites, plan.scheme.local_dim))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
             target = _target_state(spec, plan)
-        values = np.array(
-            [_one_realization(spec, grid_index, i, plan, target) for i in range(runs)]
-        )
+        values = np.concatenate([
+            _block(spec, grid_index, range(start, min(start + block, runs)), plan, target)
+            for start in range(0, runs, block)
+        ])
     except CapacityError as exc:
         error = str(exc)
     else:

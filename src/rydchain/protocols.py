@@ -34,6 +34,14 @@ backend, their 2x2 block coefficients come from one pass over the
 realization's diagonal, read at positions the schedule holds; each pulse
 then only mixes its pairs.  A wider pulse reads its diagonal through views,
 so the schedule never holds a table that grows with d^n.
+
+A :class:`RealisticBackend` holds one realization's basis energies (the
+diagonal of H over the whole chain) and Omega, not a Hamiltonian: a sweep
+checks a block's couplings and builds its diagonals once for the whole
+block (see :mod:`rydchain.montecarlo`), then runs :func:`execute` once per
+realization on one column of them.  execute runs one state: its per-site
+kernel has no realization axis yet, so a block's pulses stay one call per
+realization.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from itertools import accumulate
 import numpy as np
 
 from .dynamics import (
-    HamiltonianSpec,
     PulseStep,
     Transition,
     _ideal_on_array,
@@ -54,7 +61,6 @@ from .dynamics import (
     _pulse_on_array,
     _rotate_pairs,
     half_pi_pulse,
-    interaction_diagonal,
     pi_pulse,
 )
 from .errors import NumericalError
@@ -300,10 +306,18 @@ class IdealBackend:
 
 @dataclass(frozen=True)
 class RealisticBackend:
-    hamiltonian: HamiltonianSpec
+    """Exact pulsed evolution of one realization: ``energies`` is the diagonal
+    of H over the whole chain's basis, as
+    :func:`rydchain.dynamics.interaction_diagonal` gives it (one column of a
+    stack's), and ``omega`` the Rabi frequency.  The energies are read as
+    given: the :class:`rydchain.dynamics.HamiltonianSpec` they came from was
+    checked when it was built."""
+
+    energies: np.ndarray
     omega: float
 
     def __post_init__(self):
+        object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
         if not 0 < self.omega < np.inf:  # a NaN fails too
             raise ValueError("omega must be finite and positive")
 
@@ -389,14 +403,14 @@ def execute(plan: ProtocolPlan, backend) -> np.ndarray:
     schedule (see the module docstring).
     """
     n, dim = plan.n_sites, plan.scheme.local_dim
-    require_capacity(n, dim)
+    size = require_capacity(n, dim)
     schedule = plan.schedule
     m, amp = schedule.start, schedule.initial.copy()
     realistic = isinstance(backend, RealisticBackend)
     if realistic:
-        if backend.hamiltonian.n_sites != n:
-            raise ValueError("backend Hamiltonian does not match the plan")
-        e_tot = interaction_diagonal(backend.hamiltonian, dim)
+        e_tot = backend.energies
+        if e_tot.shape != (size,):
+            raise ValueError(f"{e_tot.shape} backend energies do not match the plan's {size}")
         rows = e_tot.take(schedule.index)
         t, drive = schedule.half_theta / backend.omega, schedule.sign * (2.0 * backend.omega)
         coefficients = _pulse_coefficients(rows[0], rows[1], rows[2] if dim == 3 else None, t, drive)

@@ -109,15 +109,15 @@ def check_qubit(alpha: complex | None, beta: complex | None) -> None:
 
 def reduce_to_site(amp: np.ndarray, site: int) -> np.ndarray:
     """2x2 reduced density matrix of one atom of a two-level chain state,
-    all others traced out; the chain length is read from ``len(amp)``."""
+    all others traced out; the chain length is read from ``len(amp)``.  A
+    (2^n, R) stack of states gives an (R, 2, 2) stack, one per column."""
     n = len(amp).bit_length() - 1
     if n < 1 or len(amp) != 2**n:
         raise ValueError(f"{len(amp)} amplitudes are not a two-level chain of >= 1 sites")
     if not 1 <= site <= n:
         raise IndexError(f"site {site} out of range 1..{n}")
     m = site_view(amp, n, 2, site)
-    rho = np.einsum("iaj,ibj->ab", m, m.conj())
-    return rho
+    return np.einsum("iaj...,ibj...->...ab", m, m.conj())
 
 
 def check_norm(amp: np.ndarray) -> np.ndarray:

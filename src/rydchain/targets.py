@@ -63,31 +63,46 @@ def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> np.n
     return amp
 
 
-def fidelity_pure(target: np.ndarray, final: np.ndarray) -> float:
-    """|<target|final>|^2 of two amplitude arrays over the same chain."""
+def fidelity_pure(target: np.ndarray, final: np.ndarray):
+    """|<target|final>|^2 of two amplitude arrays over the same chain.  A
+    (d^n, R) stack of final states gives an (R,) array, column by column;
+    each column is held to the clip tolerance on its own."""
     if len(target) != len(final):
         raise ValueError("state dimensions differ")
-    f = abs(np.vdot(target, final)) ** 2
-    return _clip_unit(float(f))
+    # one vdot per column: a product with the conjugated target would first
+    # copy a whole state, which costs a large chain more than the product
+    columns = np.reshape(final, (len(final), -1)).T
+    f = np.abs([np.vdot(target, column) for column in columns]) ** 2
+    return _clip_unit(f if np.ndim(final) == 2 else f[0])
 
 
-def fidelity_mixed_single_qubit(target_ket, rho: np.ndarray) -> float:
-    """<psi|rho|psi> for a single-qubit density matrix."""
+def fidelity_mixed_single_qubit(target_ket, rho: np.ndarray):
+    """<psi|rho|psi> for a single-qubit density matrix.  An (R, 2, 2) stack of
+    them gives an (R,) array; each must be a density matrix, and each value
+    is held to the clip tolerance on its own."""
     ket = np.asarray(target_ket, dtype=np.complex128)
     if ket.shape != (2,):
         raise ValueError("target ket must be a 2-vector")
     if not abs(np.linalg.norm(ket) - 1.0) <= 1e-10:  # a NaN fails too
         raise ValueError("target ket must be normalized")
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
-        raise ValueError("rho must be 2x2")
-    if not (np.abs(rho - rho.conj().T).max() <= 1e-8 and abs(np.trace(rho).real - 1.0) <= 1e-8):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (2, 2):
+        raise ValueError("rho must be 2x2 or a stack of 2x2 matrices")
+    hermitian = np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max(axis=(-2, -1)) <= 1e-8
+    unit_trace = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) <= 1e-8
+    if not np.all(hermitian & unit_trace):  # a NaN fails too
         raise ValueError("rho is not a density matrix")
-    return _clip_unit(float(np.real(np.vdot(ket, rho @ ket))))
+    return _clip_unit(np.real((rho @ ket) @ ket.conj()))
 
 
-def _clip_unit(f: float) -> float:
-    """f clipped to [0, 1]; an excess beyond FIDELITY_TOL (or a NaN) raises."""
-    if not -FIDELITY_TOL <= f <= 1.0 + FIDELITY_TOL:
-        raise NumericalError(f"fidelity {f!r} lies outside [0, 1] by more than {FIDELITY_TOL:g}")
-    return min(max(f, 0.0), 1.0)
+def _clip_unit(f):
+    """f (a scalar, or an array of them) clipped to [0, 1]; an excess beyond
+    FIDELITY_TOL (or a NaN) anywhere raises."""
+    f = np.asarray(f, dtype=float)
+    outside = ~((-FIDELITY_TOL <= f) & (f <= 1.0 + FIDELITY_TOL))
+    if outside.any():
+        raise NumericalError(
+            f"fidelity {float(f[outside][0])!r} lies outside [0, 1] by more than {FIDELITY_TOL:g}"
+        )
+    f = np.clip(f, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import execute_full_width
-from rydchain.dynamics import HamiltonianSpec, InteractionRange
+from rydchain.dynamics import HamiltonianSpec, InteractionRange, interaction_diagonal
 from rydchain.lattice import truncate_couplings
 from rydchain.protocols import IdealBackend, ProtocolKind, ProtocolPlan, RealisticBackend
 from rydchain.statekit import LevelScheme
@@ -35,6 +35,12 @@ def chain_hamiltonian(n: int, v0: float, rng=InteractionRange.FULL) -> Hamiltoni
     if rng is InteractionRange.NEAREST_NEIGHBOR:
         V = truncate_couplings(V, 1)
     return HamiltonianSpec(V)
+
+
+def realistic_backend(hamiltonian, omega, scheme=LevelScheme.TWO_LEVEL) -> RealisticBackend:
+    """The realistic backend of one chain: the basis energies of
+    ``hamiltonian`` under ``scheme``, and the Rabi frequency ``omega``."""
+    return RealisticBackend(interaction_diagonal(hamiltonian, scheme.local_dim), omega)
 
 
 @pytest.fixture
@@ -70,4 +76,4 @@ def run_ideal(amp, step, blockade_range=1):
 
 
 def run_realistic(amp, step, hamiltonian, omega):
-    return run_steps(amp, RealisticBackend(hamiltonian, omega), step)
+    return run_steps(amp, realistic_backend(hamiltonian, omega, chain_of(amp)[1]), step)

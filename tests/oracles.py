@@ -1,15 +1,27 @@
 """Independent dense oracles for the package's fast paths, used by tests only."""
 
+import warnings
+
 import numpy as np
 import scipy.optimize
 
-from rydchain.analytics import DecayFit, ghz_fidelity_two_atoms
+from rydchain.analytics import DecayFit, ghz_fidelity_two_atoms, two_atom_coefficients
 from rydchain.dynamics import (
-    MAX_DENSE_DIM, _ideal_on_array, _pulse_on_array, interaction_diagonal,
+    MAX_DENSE_DIM,
+    HamiltonianSpec,
+    InteractionRange,
+    _ideal_on_array,
+    _pulse_on_array,
+    interaction_diagonal,
 )
 from rydchain.errors import CapacityError
-from rydchain.protocols import ProtocolKind, RealisticBackend
-from rydchain.statekit import GROUND, RYDBERG, basis_digits, check_norm
+from rydchain.lattice import (
+    R0_DEFAULT, coupling_matrix, realization_seed, sample_configuration, truncate_couplings,
+)
+from rydchain.montecarlo import SweepRecord, _target_state
+from rydchain.protocols import ProtocolKind, RealisticBackend, execute
+from rydchain.statekit import GROUND, RYDBERG, basis_digits, check_norm, reduce_to_site
+from rydchain.targets import fidelity_mixed_single_qubit, fidelity_pure
 
 
 def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
@@ -25,16 +37,100 @@ def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
     if amp.shape != (dim**n,):
         raise ValueError(f"amplitude array has shape {amp.shape}, expected ({dim**n},)")
     realistic = isinstance(backend, RealisticBackend)
-    if realistic:
-        e_tot = interaction_diagonal(backend.hamiltonian, dim)
     for step in plan.steps:
         if realistic:
-            amp = _pulse_on_array(amp, n, dim, step, e_tot, backend.omega)
+            amp = _pulse_on_array(amp, n, dim, step, backend.energies, backend.omega)
         else:
             amp = _ideal_on_array(amp, n, dim, step, plan.blockade_range)
     for post in plan.post_steps:
         amp = _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
     return check_norm(amp)
+
+
+def sweep_cell_by_loop(spec, plan, grid_index) -> SweepRecord:
+    """One sweep cell, one realization at a time: each realization samples
+    one (n, 3) configuration from its own seed, builds and checks its own
+    couplings and diagonal, runs its pulses and scores its one final state.
+
+    Reference for :func:`rydchain.montecarlo.run_sweep`, which runs every
+    stage but the pulses once over a block of realizations; this is the
+    loop it replaced, on the same seeds.
+    """
+    n, ratio = plan.n_sites, spec.grid[grid_index]
+    runs = 1 if spec.disorder.is_none else spec.realizations
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # odd-length GHZ targets warn
+        target = _target_state(spec, plan)
+    values = []
+    for i in range(runs):
+        seed = realization_seed(spec.master_seed, n, grid_index, i)
+        config = sample_configuration(n, R0_DEFAULT, spec.disorder, seed)
+        couplings = coupling_matrix(config, ratio, R0_DEFAULT)
+        if spec.interaction_range is InteractionRange.NEAREST_NEIGHBOR:
+            couplings = truncate_couplings(couplings, 1)
+        energies = interaction_diagonal(HamiltonianSpec(couplings), plan.scheme.local_dim)
+        final = execute(plan, RealisticBackend(energies, 1.0))
+        if target is None:
+            rho = reduce_to_site(final, n)
+            values.append(fidelity_mixed_single_qubit(np.array([spec.alpha, spec.beta]), rho))
+        else:
+            values.append(fidelity_pure(target, final))
+    values = np.array(values)
+    return SweepRecord(
+        protocol=spec.protocol.value,
+        n=n,
+        v0_over_omega=ratio,
+        disorder=spec.disorder.kind,
+        realizations=spec.realizations,
+        mean_fidelity=float(values.mean()),
+        std_error=float(values.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0,
+        fid_min=float(values.min()),
+        fid_max=float(values.max()),
+    )
+
+
+def two_atom_disorder_average(ratio, sigma, nodes, alpha=2**-0.5, beta=2**-0.5) -> dict:
+    """Exact means of the N = 2 ghz2 and transport sweep cells at V0/Omega =
+    ``ratio`` under per-axis disorder widths ``sigma``, keyed by protocol.
+
+    At N = 2 a realization depends only on its one coupling V = ratio (r0/r)^6,
+    r = |(0, 0, r0) + d|, where the pair displacement d is Gaussian with width
+    sigma_k sqrt(2) on axis k.  The mean is a Gauss-Hermite product rule over
+    d with ``nodes`` nodes per axis (the two transverse axes folded onto their
+    positive nodes, since r is even in them).  Each node's values come from
+    :func:`rydchain.analytics.two_atom_coefficients`:
+
+    * ghz2: |1 + gamma|^2 / 4;
+    * transport: the branch map alpha -> gamma|01> + leak|11>,
+      beta -> -gamma|00> - leak^2|01> + delta'|11>, then the parity correction
+      i sigma_y on site 2 (|x0> -> -|x1>, |x1> -> |x0>), reduced to site 2
+      and scored against (alpha, beta).
+
+    Reference for the whole disordered loop (sample, couple, pulse, score),
+    independent of the sampler, the kernel and the fidelity code.
+    """
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / np.sqrt(np.pi)  # E f(X) for X ~ N(0, s^2) is sum_i w_i f(sqrt(2) s x_i)
+    fold = x > 0
+    axes = [(x[fold], 2 * w[fold]), (x[fold], 2 * w[fold]), (x, w)]
+    d = np.meshgrid(*[2.0 * s * xs for s, (xs, _) in zip(sigma, axes)], indexing="ij")
+    weight = np.einsum("i,j,k->ijk", *[ws for _, ws in axes]).ravel()
+    r = np.sqrt(d[0] ** 2 + d[1] ** 2 + (R0_DEFAULT + d[2]) ** 2).ravel()
+    alpha, beta = complex(alpha), complex(beta)
+    values = np.empty((len(r), 2))
+    for i, v in enumerate(ratio * (R0_DEFAULT / r) ** 6):
+        c = two_atom_coefficients(v, 1.0)
+        # after the correction: site 2 in |0> holds a0 (site 1 in |0>) and a1
+        # (site 1 in |1>); site 2 in |1> holds b0 (site 1 in |0>) and nothing else
+        a0 = alpha * c.gamma - beta * c.leak**2
+        a1 = alpha * c.leak + beta * c.delta_prime
+        b0 = beta * c.gamma
+        rho00, rho11, rho01 = abs(a0) ** 2 + abs(a1) ** 2, abs(b0) ** 2, a0 * b0.conjugate()
+        transport = (abs(alpha) ** 2 * rho00 + abs(beta) ** 2 * rho11
+                     + 2.0 * (alpha.conjugate() * beta * rho01).real)
+        values[i] = abs(1.0 + c.gamma) ** 2 / 4.0, transport
+    ghz, transport = weight @ values
+    return {ProtocolKind.GHZ2: float(ghz), ProtocolKind.TRANSPORT: float(transport)}
 
 
 def initial_amplitudes(plan) -> np.ndarray:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import chain_hamiltonian, random_state
+from conftest import chain_hamiltonian, random_state, realistic_backend
 from rydchain.analytics import (
     estimate_n_max,
     fit_exponential_decay,
@@ -28,7 +28,6 @@ from rydchain.protocols import (
     IdealBackend,
     ProtocolKind,
     ProtocolPlan,
-    RealisticBackend,
     execute,
     mps_area_schedule,
     mps_area_schedule_polynomial,
@@ -63,11 +62,11 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> bool:
 def test_criterion_01_two_atom_ghz_oracle():
     grid = np.linspace(0.1, 100.0, 100)
     ghz_fidelity_two_atoms(1.0, 1.0)  # warm caches before timing
-    execute(plan_ghz(2, TWO), RealisticBackend(chain_hamiltonian(2, 1.0), 1.0))
+    execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, 1.0), 1.0))
     start = time.perf_counter()
     worst = 0.0
     for ratio in grid:
-        out = execute(plan_ghz(2, TWO), RealisticBackend(chain_hamiltonian(2, ratio), 1.0))
+        out = execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, ratio), 1.0))
         f = fidelity_pure(ghz_target(2, TWO), out)
         worst = max(worst, abs(f - ghz_fidelity_two_atoms(ratio, 1.0)))
     elapsed = time.perf_counter() - start
@@ -86,12 +85,12 @@ def test_criterion_02_transport_coefficient_oracle():
         # alpha branch: |11> amplitude carries |gamma'|
         plan = plan_transport(2, 1.0, 0.0)
         bare = ProtocolPlan(plan.kind, 2, TWO, plan.steps, (), alpha=1.0, beta=0.0)
-        out = execute(bare, RealisticBackend(ham, 1.0))
+        out = execute(bare, realistic_backend(ham, 1.0))
         worst = max(worst, abs(abs(out[0b11]) - c.gamma_prime))
         # beta branch: |11> carries |delta'|, |01> the normalization remainder
         plan = plan_transport(2, 0.0, 1.0)
         bare = ProtocolPlan(plan.kind, 2, TWO, plan.steps, (), alpha=0.0, beta=1.0)
-        out = execute(bare, RealisticBackend(ham, 1.0))
+        out = execute(bare, realistic_backend(ham, 1.0))
         worst = max(worst, abs(abs(out[0b11]) - abs(c.delta_prime)))
         remainder = np.sqrt(1.0 - abs(c.gamma) ** 2 - abs(c.delta_prime) ** 2)
         worst = max(worst, abs(abs(out[0b01]) - remainder))
@@ -102,14 +101,14 @@ def test_criterion_02_transport_coefficient_oracle():
 
 
 def test_criterion_03_fidelity_limits():
-    weak = execute(plan_ghz(2, THREE), RealisticBackend(chain_hamiltonian(2, 1e-4), 1.0))
+    weak = execute(plan_ghz(2, THREE), realistic_backend(chain_hamiltonian(2, 1e-4), 1.0, THREE))
     f_weak = fidelity_pure(ghz_target(2, THREE), weak)
     ok_weak = abs(f_weak - 0.25) < 1e-3
 
     strong = [
         fidelity_pure(
             ghz_target(n, THREE),
-            execute(plan_ghz(n, THREE), RealisticBackend(chain_hamiltonian(n, 1e4), 1.0)),
+            execute(plan_ghz(n, THREE), realistic_backend(chain_hamiltonian(n, 1e4), 1.0, THREE)),
         )
         for n in (2, 4)
     ]
@@ -117,7 +116,7 @@ def test_criterion_03_fidelity_limits():
 
     two_level = fidelity_pure(
         ghz_target(4, TWO),
-        execute(plan_ghz(4, TWO), RealisticBackend(chain_hamiltonian(4, 1e4), 1.0)),
+        execute(plan_ghz(4, TWO), realistic_backend(chain_hamiltonian(4, 1e4), 1.0)),
     )
     ok_two = two_level < 0.1
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import chain_hamiltonian
+from conftest import chain_hamiltonian, realistic_backend
 from oracles import leftmost_fidelity_peak, reference_decay_fit
 from rydchain.analytics import (
     estimate_n_max,
@@ -21,7 +21,6 @@ from rydchain.errors import NumericalError
 from rydchain.protocols import (
     HyperfinePolicy,
     ProtocolKind,
-    RealisticBackend,
     execute,
     plan_ghz,
     plan_transport,
@@ -55,7 +54,7 @@ class TestTwoAtomCoefficients:
 
     def test_against_simulation_at_peak(self):
         ratio = 6.9
-        out = execute(plan_ghz(2, TWO), RealisticBackend(chain_hamiltonian(2, ratio), 1.0))
+        out = execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, ratio), 1.0))
         c = two_atom_coefficients(ratio, 1.0)
         amp = out * np.sqrt(2)
         assert abs(amp[0b10] - c.gamma) < 1e-10
@@ -89,7 +88,7 @@ class TestTransportAmplitudes:
         ):
             plan = plan_transport(2, alpha, beta)
             bare = ProtocolPlan(plan.kind, 2, TWO, plan.steps, (), alpha=alpha, beta=beta)
-            out = execute(bare, RealisticBackend(ham, 1.0))
+            out = execute(bare, realistic_backend(ham, 1.0))
             for idx, expect in checks.items():
                 assert abs(out[idx] - expect) < 1e-10
 
@@ -114,7 +113,7 @@ class TestGhzFidelityCurve:
 
     def test_matches_simulation_on_grid(self):
         for ratio in np.linspace(0.1, 100, 25):
-            out = execute(plan_ghz(2, TWO), RealisticBackend(chain_hamiltonian(2, ratio), 1.0))
+            out = execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, ratio), 1.0))
             f = fidelity_pure(ghz_target(2, TWO), out)
             assert abs(f - ghz_fidelity_two_atoms(ratio, 1.0)) < 1e-10
 

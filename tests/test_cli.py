@@ -181,6 +181,23 @@ class TestSweepCommand:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_output_directory_exits_2_before_any_cell_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every cell once ran, then writing the CSV failed with [Errno 2]
+        calls = []
+        monkeypatch.setattr(montecarlo, "execute", lambda *args, **kwargs: calls.append(args))
+        missing = tmp_path / "missing"
+        code = run_cli(
+            "sweep", "--protocol", "ghz2", "--n", "2,3", "--grid", "6.9", "--disorder", "iso",
+            "--realizations", "3", "--out", str(missing / "x"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not exist" in err and str(missing) in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value", [
         pytest.param("--grid", "1:30:0", id="empty-grid"),
         pytest.param("--grid", "1:30:1", id="one-point-range"),

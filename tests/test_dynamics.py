@@ -14,6 +14,7 @@ from rydchain.dynamics import (
     build_full_hamiltonian,
     ground_state_dense,
     half_pi_pulse,
+    interaction_diagonal,
     pi_pulse,
 )
 from rydchain.errors import CapacityError
@@ -235,6 +236,41 @@ class TestHamiltonianSpec:
     def test_nan_diagonal_rejected(self):
         with pytest.raises(ValueError):
             HamiltonianSpec(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
+    def test_stack_holds_each_matrix_to_its_own_scale(self):
+        # 1e-10 of the weak matrix's scale is 1e-16 of the stack's largest
+        # coupling, which a check scaled by the whole stack would let through
+        weak = chain_hamiltonian(4, 1.0).couplings
+        weak[0, 1] *= 1 + 1e-10
+        strong = chain_hamiltonian(4, 1e6).couplings
+        with pytest.raises(ValueError, match="symmetric"):
+            HamiltonianSpec(np.stack([strong, weak]))
+        weak[0, 1] = weak[1, 0] * (1 + 1e-13)  # rounding-level asymmetry passes
+        assert HamiltonianSpec(np.stack([strong, weak])).n_sites == 4
+
+    def test_stack_with_one_nonzero_diagonal_entry_rejected(self):
+        stack = np.stack([chain_hamiltonian(3, 6.9).couplings] * 3)
+        stack[2, 1, 1] = 1e-300
+        with pytest.raises(ValueError, match="zero diagonal"):
+            HamiltonianSpec(stack)
+
+    def test_stack_detuning_shape_must_match(self):
+        stack = np.stack([chain_hamiltonian(3, 6.9).couplings] * 2)
+        assert HamiltonianSpec(stack).detuning.shape == (2, 3)
+        with pytest.raises(ValueError, match="detuning"):
+            HamiltonianSpec(stack, np.zeros(3))
+
+
+@pytest.mark.parametrize("n, local_dim", [(4, 2), (10, 2), (5, 3), (7, 3)])  # unsplit and split
+def test_stacked_diagonal_holds_each_chain_in_its_column(rng, n, local_dim):
+    stack = np.triu(rng.uniform(0.0, 50.0, (3, n, n)), 1)
+    stack += stack.transpose(0, 2, 1)
+    detuning = rng.uniform(-5.0, 5.0, (3, n))
+    e = interaction_diagonal(HamiltonianSpec(stack, detuning), local_dim)
+    assert e.shape == (local_dim**n, 3)
+    for r in range(3):
+        one = interaction_diagonal(HamiltonianSpec(stack[r], detuning[r]), local_dim)
+        assert np.abs(e[:, r] - one).max() <= 1e-12 * np.abs(one).max()
 
 
 class TestFullHamiltonian:

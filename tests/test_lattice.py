@@ -77,6 +77,15 @@ class TestDisorder:
         c = sample_configuration(n, r0, dis, realization_seed(7, 1, 2, 4))
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("name", ["none", "iso", "aniso"])
+    def test_list_of_seeds_stacks_each_seed_s_draw(self, name):
+        # row r of the stack is bit-identical to seed r drawn alone
+        seeds = [realization_seed(7, 5, 1, i) for i in range(4)]
+        stack = sample_configuration(5, 4.1, DISORDER_PRESETS[name], seeds)
+        assert stack.shape == (4, 5, 3)
+        for row, seed in zip(stack, seeds):
+            assert np.array_equal(row, sample_configuration(5, 4.1, DISORDER_PRESETS[name], seed))
+
     def test_sampled_variance_matches_widths(self):
         n, r0 = 50, 4.1
         dis = DisorderSpec((0.12, 0.12, 0.12))
@@ -172,6 +181,20 @@ class TestCouplingMatrix:
             else:
                 d = pos[k] - pos[m]
                 assert V[k, m] == v0 * (4.1 / np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)) ** 6
+
+
+def test_stacks_couple_and_truncate_each_configuration():
+    seeds = [realization_seed(3, i) for i in range(4)]
+    configs = sample_configuration(6, 4.1, DISORDER_PRESETS["aniso"], seeds)
+    V = coupling_matrix(configs, 6.9, 4.1)
+    assert V.shape == (4, 6, 6)
+    for stacked, truncated, config in zip(V, truncate_couplings(V, 1), configs):
+        assert np.array_equal(stacked, coupling_matrix(config, 6.9, 4.1))
+        assert np.array_equal(truncated, truncate_couplings(stacked, 1))
+    moved = configs.copy()
+    moved[2, 4] = moved[2, 1]  # one coincident pair in one configuration of the stack
+    with pytest.raises(GeometryError, match="coincident"):
+        coupling_matrix(moved, 6.9, 4.1)
 
 
 def test_truncate_couplings():

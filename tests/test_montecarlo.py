@@ -1,14 +1,20 @@
+import dataclasses
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import sweep_cell_by_loop, two_atom_disorder_average
 from rydchain import montecarlo
 from rydchain.analytics import ghz_fidelity_two_atoms
+from rydchain.dynamics import InteractionRange
 from rydchain.lattice import DisorderSpec, disorder_preset
-from rydchain.montecarlo import SweepSpec, run_sweep
-from rydchain.protocols import ProtocolKind
+from rydchain.montecarlo import BATCH_AMPLITUDES, SweepSpec, run_sweep
+from rydchain.protocols import ProtocolKind, plan_for
 
 
 def make_spec(**kw):
@@ -205,6 +211,42 @@ class TestRunSweep:
             run_sweep(make_spec(n_list=(2,)), workers=workers)
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(list(ProtocolKind)),
+    st.integers(2, 7),
+    st.floats(1.0, 40.0),
+    st.one_of(
+        st.sampled_from(["iso", "aniso"]),
+        st.tuples(*[st.floats(0.02, 0.6)] * 3).map(DisorderSpec),
+    ),
+    st.sampled_from(list(InteractionRange)),
+    st.integers(1, 6),
+    st.sampled_from([BATCH_AMPLITUDES, 16, 1]),
+)
+# B = 2^16 // 2^14 = 4 realizations per block, so R = 5 runs a block of 4 and one of 1
+@example(ProtocolKind.GHZ2, 14, 6.9, "aniso", InteractionRange.FULL, 5, BATCH_AMPLITUDES)
+@example(ProtocolKind.TRANSPORT, 3, 15.5, "iso", InteractionRange.NEAREST_NEIGHBOR, 6, 16)
+def test_blocks_equal_the_per_realization_loop(
+    protocol, n, ratio, disorder, interaction_range, runs, amplitudes
+):
+    # a smaller BATCH_AMPLITUDES splits even short chains' cells into several blocks
+    if protocol is ProtocolKind.GHZ3:
+        n = min(n, 5)
+    spec = make_spec(protocol=protocol, n_list=(n,), grid=(ratio,), disorder=disorder,
+                     interaction_range=interaction_range, realizations=runs,
+                     master_seed=runs * 1009 + n)
+    with mock.patch.object(montecarlo, "BATCH_AMPLITUDES", amplitudes):
+        record = run_sweep(spec)[0]
+    loop = sweep_cell_by_loop(spec, plan_for(protocol, n), 0)
+    for field in dataclasses.fields(record):
+        got, want = getattr(record, field.name), getattr(loop, field.name)
+        if isinstance(want, float):
+            assert abs(got - want) <= 1e-14, field.name
+        else:
+            assert got == want, field.name
+
+
 class TestSweepSpecShapeFields:
     """A field the protocol ignores must keep its default."""
 
@@ -265,6 +307,21 @@ class TestDisorderPhysics:
         assert means["none"] >= means["iso"] >= means["aniso"]
         sep = means["none"] - means["aniso"]
         assert sep > 2 * np.sqrt(errs["none"] ** 2 + errs["aniso"] ** 2)
+
+    @pytest.mark.parametrize("ratio", [6.9, 15.5])
+    @pytest.mark.parametrize("disorder", ["iso", "aniso"])
+    def test_two_atom_means_match_the_exact_disorder_average(self, ratio, disorder):
+        sigma = disorder_preset(disorder).sigma
+        exact = two_atom_disorder_average(ratio, sigma, 48)
+        # doubling the nodes from 24 moves the rule by at most 7.4e-4 over these
+        # cells, and from 48 to 80 by at most 1.5e-5: far inside 4 standard errors
+        coarse = two_atom_disorder_average(ratio, sigma, 24)
+        for protocol in (ProtocolKind.GHZ2, ProtocolKind.TRANSPORT):
+            assert abs(exact[protocol] - coarse[protocol]) <= 1e-3
+            spec = make_spec(protocol=protocol, grid=(ratio,), disorder=disorder,
+                             realizations=1000, master_seed=2024)
+            rec = run_sweep(spec)[0]
+            assert abs(rec.mean_fidelity - exact[protocol]) <= 4 * rec.std_error, protocol
 
     def test_fidelity_decays_with_chain_length_under_disorder(self):
         spec = make_spec(

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_hamiltonian, run_ideal, run_realistic
+from conftest import chain_hamiltonian, realistic_backend, run_ideal, run_realistic
 from oracles import (
     execute_full_width, ideal_gate_by_index, initial_amplitudes, interaction_energy_by_index,
 )
@@ -19,7 +19,7 @@ from rydchain.dynamics import (
 )
 from rydchain.lattice import R0_DEFAULT, coupling_matrix, disorder_preset, sample_configuration
 from rydchain.protocols import (
-    IdealBackend, ProtocolKind, RealisticBackend, execute, plan_for,
+    IdealBackend, ProtocolKind, execute, plan_for,
 )
 from rydchain.statekit import LevelScheme
 
@@ -144,7 +144,8 @@ def test_realistic_approaches_ideal_as_interaction_grows(case, n, log_ratio, z):
     ratio = 10.0**log_ratio  # V0 / Omega, log-uniform in [1e2, 1e5]
     plan = plan_for(kind, n, z)
     ideal = execute(plan, IdealBackend())
-    realistic = execute(plan, RealisticBackend(chain_hamiltonian(n, ratio, interaction_range), 1.0))
+    backend = realistic_backend(chain_hamiltonian(n, ratio, interaction_range), 1.0, plan.scheme)
+    realistic = execute(plan, backend)
     infidelity = 1.0 - abs(np.vdot(ideal, realistic)) ** 2
     assert infidelity <= 1.0 / ratio  # worst seen on a 40-ratio grid per N: 0.64 / ratio
 
@@ -186,7 +187,7 @@ def test_prefix_execution_equals_full_width(kind, n, disorder, ratio, omega, rea
         config = sample_configuration(n, R0_DEFAULT, disorder_preset(disorder), seed)
         detuning = rng.uniform(-2.0, 2.0, n)
         couplings = coupling_matrix(config, ratio * omega, R0_DEFAULT)
-        backend = RealisticBackend(HamiltonianSpec(couplings, detuning), omega)
+        backend = realistic_backend(HamiltonianSpec(couplings, detuning), omega, plan.scheme)
     else:
         plan, backend = dataclasses.replace(plan, blockade_range=radius), IdealBackend()
     prefix = execute(plan, backend)

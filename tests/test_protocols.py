@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import chain_hamiltonian, random_state, run_ideal, run_realistic
+from conftest import chain_hamiltonian, random_state, realistic_backend, run_ideal, run_realistic
 from oracles import execute_full_width, initial_amplitudes
 from rydchain import protocols
 from rydchain.dynamics import (
@@ -359,7 +359,8 @@ class TestExecute:
         # the prefix starts small, so the gate must not wait for a full-width array
         backend = IdealBackend()
         if realistic:
-            backend = RealisticBackend(chain_hamiltonian(plan.n_sites, 10.0), 1.0)
+            # energies of the right length that allocate nothing: one zero, broadcast
+            backend = RealisticBackend(np.broadcast_to(0.0, plan.scheme.local_dim**plan.n_sites), 1.0)
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="exceeds the cap"):
@@ -389,7 +390,7 @@ class TestExecute:
         from rydchain.analytics import two_atom_coefficients
 
         ratio = 6.9
-        out = execute(plan_ghz(2, TWO), RealisticBackend(chain_hamiltonian(2, ratio), 1.0))
+        out = execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, ratio), 1.0))
         coeffs = two_atom_coefficients(ratio, 1.0)
         amp = out * np.sqrt(2)
         assert abs(amp[0b01] - 1.0) < 1e-10
@@ -406,7 +407,7 @@ class TestExecute:
         plan = make_plan()
         ham = chain_hamiltonian(plan.n_sites, 1e6, InteractionRange.NEAREST_NEIGHBOR)
         ideal = execute(plan, IdealBackend())
-        real = execute(plan, RealisticBackend(ham, 1.0))
+        real = execute(plan, realistic_backend(ham, 1.0, plan.scheme))
         assert fidelity_pure(ideal, real) >= 1 - 1e-6
 
     def test_ghz3_leaves_no_rydberg_population(self):
@@ -432,13 +433,19 @@ class TestExecute:
 
     def test_backend_hamiltonian_mismatch(self):
         with pytest.raises(ValueError):
-            execute(plan_ghz(3, TWO), RealisticBackend(chain_hamiltonian(4, 1.0), 1.0))
+            execute(plan_ghz(3, TWO), realistic_backend(chain_hamiltonian(4, 1.0), 1.0))
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (8, 1), (1, 8)])
+    def test_backend_energies_must_be_one_chain_diagonal(self, shape):
+        # a block's (d^n, R) diagonals go in one column at a time
+        with pytest.raises(ValueError, match="backend energies"):
+            execute(plan_ghz(3, TWO), RealisticBackend(np.zeros(shape), 1.0))
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_backend_omega_must_be_finite_and_positive(self, omega):
         # NaN and inf were once accepted and failed only inside execute, on the norm check
         with pytest.raises(ValueError, match="omega"):
-            RealisticBackend(chain_hamiltonian(2, 6.9), omega)
+            realistic_backend(chain_hamiltonian(2, 6.9), omega)
 
 
 class TestSchedule:
@@ -466,7 +473,8 @@ class TestSchedule:
         assert gathered > 1 and (gathered < len(plan.steps)) == (name in self.STRADDLING)
         n = plan.n_sites
         config = sample_configuration(n, R0_DEFAULT, disorder_preset(disorder), 2024)
-        backend = RealisticBackend(HamiltonianSpec(coupling_matrix(config, ratio, R0_DEFAULT)), 1.0)
+        hamiltonian = HamiltonianSpec(coupling_matrix(config, ratio, R0_DEFAULT))
+        backend = realistic_backend(hamiltonian, 1.0, plan.scheme)
         full = execute_full_width(plan, backend, initial_amplitudes(plan))
         assert np.abs(execute(plan, backend) - full).max() <= 1e-14
 
@@ -507,7 +515,7 @@ class TestSchedule:
         # and the gathered pulses sum to about 2 COEF_CHUNK blocks; the
         # 2^18-entry diagonal alone would be 512 COEF_CHUNK bytes
         plan = plan_ghz(18, TWO)
-        execute(plan, RealisticBackend(chain_hamiltonian(18, 15.5), 1.0))
+        execute(plan, realistic_backend(chain_hamiltonian(18, 15.5), 1.0))
         arrays = [v for v in vars(plan.schedule).values() if isinstance(v, np.ndarray)]
         assert 0 < sum(a.nbytes for a in arrays) <= 128 * COEF_CHUNK
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import chain_hamiltonian, random_state
+from conftest import chain_hamiltonian, random_state, realistic_backend
 from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import (
-    IdealBackend, ProtocolKind, ProtocolPlan, RealisticBackend, execute, plan_transport,
+    IdealBackend, ProtocolKind, ProtocolPlan, execute, plan_transport,
 )
 from rydchain.statekit import (
     LevelScheme,
@@ -84,6 +84,14 @@ class TestReduceToSite:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
+    def test_stack_gives_one_matrix_per_column(self, rng):
+        states = np.stack([random_state(rng, 16) for _ in range(3)], axis=1)
+        for site in (1, 3, 4):
+            rho = reduce_to_site(states, site)
+            assert rho.shape == (3, 2, 2)
+            for r in range(3):
+                assert np.abs(rho[r] - reduce_to_site(states[:, r], site)).max() <= 1e-15
+
     def test_out_of_range(self):
         s = ground_state(2, TWO)
         with pytest.raises(IndexError):
@@ -107,7 +115,7 @@ class TestReduceToSite:
         ratio, omega = 10.0, 1.0
         alpha = beta = 1 / np.sqrt(2)
         plan = plan_transport(2, alpha, beta)
-        out = execute(plan, RealisticBackend(chain_hamiltonian(2, ratio), omega))
+        out = execute(plan, realistic_backend(chain_hamiltonian(2, ratio), omega))
         rho = reduce_to_site(out, 2)
 
         # oracle: dense evolution, hand-indexed trace

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import chain_hamiltonian, random_state
+from conftest import chain_hamiltonian, random_state, realistic_backend
 from oracles import dimer_target_mps
 from rydchain.analytics import two_atom_coefficients
 from rydchain.errors import CapacityError, NumericalError
-from rydchain.protocols import RealisticBackend, execute, plan_transport
+from rydchain.protocols import execute, plan_transport
 from rydchain.statekit import LevelScheme, basis_digits, reduce_to_site
 from rydchain.targets import (
+    FIDELITY_TOL,
     dimer_target_direct,
     fidelity_mixed_single_qubit,
     fidelity_pure,
@@ -144,12 +145,28 @@ class TestFidelityPure:
         s = np.array([np.sqrt(1 + 4e-10), 0.0], complex)
         assert fidelity_pure(s, s) == 1.0
 
+    def test_stack_scores_each_column(self, rng):
+        target = random_state(rng, 8)
+        finals = np.stack([random_state(rng, 8) for _ in range(5)], axis=1)
+        f = fidelity_pure(target, finals)
+        assert f.shape == (5,)
+        for r in range(5):
+            assert abs(f[r] - fidelity_pure(target, finals[:, r])) <= 1e-15
+
+    def test_stack_with_one_column_beyond_bound_raises(self, rng):
+        target = random_state(rng, 4)
+        finals = np.stack([target, target * np.sqrt(1 + 2 * FIDELITY_TOL), target], axis=1)
+        with pytest.raises(NumericalError):
+            fidelity_pure(target, finals)
+        finals[:, 1] = target * np.sqrt(1 + FIDELITY_TOL / 2)  # within the bound: clipped
+        assert np.array_equal(fidelity_pure(target, finals), [1.0, 1.0, 1.0])
+
     def test_ghz_two_atom_value(self):
         """Realistic 2-atom GHZ output lands at |1+gamma|^2/4."""
         from rydchain.protocols import plan_ghz
 
         ratio = 11.3
-        out = execute(plan_ghz(2, TWO), RealisticBackend(chain_hamiltonian(2, ratio), 1.0))
+        out = execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, ratio), 1.0))
         gamma = two_atom_coefficients(ratio, 1.0).gamma
         f = fidelity_pure(ghz_target(2, TWO), out)
         assert f == pytest.approx(abs(1 + gamma) ** 2 / 4, abs=1e-12)
@@ -184,6 +201,26 @@ class TestFidelityMixed:
         assert fidelity_mixed_single_qubit(np.array([1.0, 0.0]), rho) == 1.0
         assert fidelity_mixed_single_qubit(np.array([0.0, 1.0]), rho) == 0.0
 
+    def test_stack_checks_and_scores_each_matrix(self, rng):
+        ket = random_state(rng, 2)
+        rhos = []
+        for _ in range(4):
+            k = random_state(rng, 2)
+            rhos.append(np.outer(k, k.conj()))
+        f = fidelity_mixed_single_qubit(ket, np.stack(rhos))
+        assert f.shape == (4,)
+        for r, rho in enumerate(rhos):
+            assert abs(f[r] - fidelity_mixed_single_qubit(ket, rho)) <= 1e-15
+        # one matrix that is not a density matrix, beside valid ones
+        with pytest.raises(ValueError, match="density matrix"):
+            fidelity_mixed_single_qubit(ket, np.stack([np.eye(2) / 2, np.diag([0.6, 0.6])]))
+        with pytest.raises(ValueError, match="density matrix"):
+            fidelity_mixed_single_qubit(ket, np.stack([np.eye(2) / 2, [[1.0, 0.5], [0.0, 0.0]]]))
+        # one value beyond the clip bound, beside valid ones
+        with pytest.raises(NumericalError):
+            stack = np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])])
+            fidelity_mixed_single_qubit(np.array([1.0, 0.0]), stack)
+
     def test_nan_inputs_rejected(self):
         with pytest.raises(ValueError):
             fidelity_mixed_single_qubit(np.array([np.nan, 0.0]), np.eye(2) / 2)
@@ -196,7 +233,7 @@ class TestFidelityMixed:
     def test_transport_two_atoms_against_closed_forms(self, ratio):
         alpha, beta = 0.6, 0.8
         plan = plan_transport(2, alpha, beta)
-        out = execute(plan, RealisticBackend(chain_hamiltonian(2, ratio), 1.0))
+        out = execute(plan, realistic_backend(chain_hamiltonian(2, ratio), 1.0))
         rho = reduce_to_site(out, 2)
         c = two_atom_coefficients(ratio, 1.0)
         # assemble the corrected final state from the closed-form branches

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import HamiltonianSpec, InteractionRange, build_full_hamiltonian, ground_state_dense
-from .errors import NumericalError
+from .errors import CapacityError, NumericalError
 from .lattice import coupling_matrix, ideal_configuration, truncate_couplings
 from .protocols import HyperfinePolicy, ProtocolKind, plan_for, protocol_duration
 from .statekit import RYDBERG, basis_digits
@@ -237,26 +237,30 @@ def estimate_n_max(
     v0: float,
     omega: float,
     tau_exp: float,
-    z: float | None = None,
+    z: float = 1.0,
     hyperfine_policy: HyperfinePolicy = HyperfinePolicy.INSTANTANEOUS,
     n_cap: int = 1000,
 ) -> int:
-    """Largest chain length whose full pulse sequence fits in tau_exp.
+    """Largest chain length whose full pulse sequence fits in tau_exp; raises
+    CapacityError if the n_cap-site plan fits too (the search cap is no answer).
 
     Pulse durations depend on ``omega`` alone: ``v0`` is only checked to be
     finite and positive and does not enter the result.
 
     Every plan of N+1 sites holds the pulses of the N-site plan plus more
     (the dimer recursion runs from the chain end), so durations never
-    decrease with N and a bisection over 2..n_cap finds the answer.
+    decrease with N and a bisection over 2..n_cap finds the answer.  z goes
+    to :func:`rydchain.protocols.plan_for`, which rejects it for other kinds.
     """
     if not (0 < v0 < np.inf and 0 < omega < np.inf):  # a NaN fails too
         raise ValueError("v0 and omega must be finite and positive")
     if not tau_exp >= 0:
         raise ValueError("tau_exp must be nonnegative")
-    z = 1.0 if z is None else z
 
     def duration(n: int) -> float:
         return protocol_duration(plan_for(kind, n, z), omega, hyperfine_policy)
 
-    return 1 + bisect_right(range(2, n_cap + 1), tau_exp, key=duration)
+    n_max = 1 + bisect_right(range(2, n_cap + 1), tau_exp, key=duration)
+    if n_max == n_cap:
+        raise CapacityError(f"every chain up to n_cap = {n_cap} sites fits in tau_exp = {tau_exp!r}")
+    return n_max

@@ -23,8 +23,9 @@ from .analytics import estimate_n_max, fit_exponential_decay, rk_ground_state_ov
 from .dynamics import InteractionRange
 from .errors import CapacityError, NumericalError
 from .lattice import DISORDER_PRESETS
-from .montecarlo import SHAPE_FIELDS, SweepSpec, run_sweep
+from .montecarlo import SweepSpec, run_sweep
 from .protocols import (
+    SHAPE_FIELDS,
     HyperfinePolicy,
     ProtocolKind,
     mps_area_schedule,
@@ -151,14 +152,13 @@ def cmd_mps_areas(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    text = Path(args.input).read_text(encoding="utf-8")
+    lines = [(ln, raw.strip()) for ln, raw in enumerate(text.splitlines(), 1) if raw.strip()]
+    if lines and any(not _is_number(f) for f in lines[0][1].split(",")[:2]):
+        lines = lines[1:]  # the first non-blank line is the only header
     points = []
-    for ln, raw in enumerate(Path(args.input).read_text(encoding="utf-8").splitlines(), 1):
-        raw = raw.strip()
-        if not raw:
-            continue
+    for ln, raw in lines:
         fields = raw.split(",")
-        if ln == 1 and any(not _is_number(f) for f in fields[:2]):
-            continue  # header
         try:
             points.append((float(fields[0]), float(fields[1])))
         except (ValueError, IndexError):

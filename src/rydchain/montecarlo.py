@@ -10,19 +10,18 @@ together.  One position sample is held fixed for the whole pulse sequence
 of a run.  The pulses run through one :func:`rydchain.protocols.execute`
 per realization, on that realization's column of diagonals: execute is the
 one way a pulse runs, its pulse kernel does not take a realization axis,
-and perfbench's traced run counts one execute per realization.  A disorder-free cell runs once, since zero widths give the ideal
-chain whatever the seed.  Omega is set to 1 rad/us and V0 to the grid
-ratio; fidelities depend on the ratio only.  Seeding is positional and the
-block size a constant, so results are independent of worker count and
-identical across reruns.
+and perfbench's traced run counts one execute per realization.  A
+disorder-free cell runs once: zero widths give the ideal chain whatever the
+seed.  Omega is 1 rad/us and V0 the grid ratio; fidelities depend on the
+ratio only.  Seeding is positional and the block size a constant, so
+results are independent of worker count and identical across reruns.
 """
 
 from __future__ import annotations
 
 import numbers
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +36,9 @@ from .lattice import (
     sample_configuration,
     truncate_couplings,
 )
-from .protocols import ProtocolKind, ProtocolPlan, RealisticBackend, execute, plan_for
+from .protocols import ProtocolKind, ProtocolPlan, RealisticBackend, check_shape, execute, plan_for
 from .statekit import reduce_to_site, require_capacity
 from .targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure, ghz_target
-
-#: SweepSpec fields that shape one protocol's plan or input; every other
-#: protocol ignores them, so they must keep their defaults there
-SHAPE_FIELDS = {
-    ProtocolKind.DIMER_MPS: ("z", "blockade_range"),
-    ProtocolKind.TRANSPORT: ("alpha", "beta"),
-}
 
 #: Amplitudes of the final states a block of realizations holds at once: a
 #: cell runs max(1, BATCH_AMPLITUDES // d^n) realizations per block.  A
@@ -89,14 +81,8 @@ class SweepSpec:
             raise ValueError("grid must be strictly increasing")
         if isinstance(self.disorder, str):
             object.__setattr__(self, "disorder", disorder_preset(self.disorder))
-        defaults = {f.name: f.default for f in fields(self)}
-        ignored = [
-            name
-            for kind, names in SHAPE_FIELDS.items() if kind is not self.protocol
-            for name in names if getattr(self, name) != defaults[name]  # a NaN differs too
-        ]
-        if ignored:
-            raise ValueError(f"protocol {self.protocol.value} ignores {', '.join(ignored)}")
+        check_shape(self.protocol, z=self.z, blockade_range=self.blockade_range,
+                    alpha=self.alpha, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -156,9 +142,7 @@ def _cell(args) -> SweepRecord:
     error = None
     try:
         block = max(1, BATCH_AMPLITUDES // require_capacity(plan.n_sites, plan.scheme.local_dim))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # odd-length GHZ targets warn per call
-            target = _target_state(spec, plan)
+        target = _target_state(spec, plan)
         values = np.concatenate([
             _block(spec, grid_index, range(start, min(start + block, runs)), plan, target)
             for start in range(0, runs, block)

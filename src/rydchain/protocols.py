@@ -46,6 +46,7 @@ realization.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -275,6 +276,22 @@ def plan_transport(n_sites: int, alpha: complex, beta: complex) -> ProtocolPlan:
     )
 
 
+#: plan_for arguments that shape one kind's plan; every other kind ignores them
+SHAPE_FIELDS = {
+    ProtocolKind.DIMER_MPS: ("z", "blockade_range"),
+    ProtocolKind.TRANSPORT: ("alpha", "beta"),
+}
+
+
+def check_shape(kind: ProtocolKind, **shape) -> None:
+    """Raise unless each ``shape`` argument ``kind`` ignores keeps its plan_for default."""
+    defaults = inspect.signature(plan_for).parameters
+    ignored = [name for name, value in shape.items()  # a NaN differs from its default
+               if name not in SHAPE_FIELDS.get(kind, ()) and value != defaults[name].default]
+    if ignored:
+        raise ValueError(f"protocol {ProtocolKind(kind).value} ignores {', '.join(ignored)}")
+
+
 def plan_for(
     kind: ProtocolKind,
     n_sites: int,
@@ -284,7 +301,9 @@ def plan_for(
     beta: complex = 2**-0.5,
 ) -> ProtocolPlan:
     """The plan of ``kind`` on ``n_sites``; z and blockade_range shape the
-    dimer plan, alpha and beta the transported qubit."""
+    dimer plan, alpha and beta the transported qubit, and an argument the
+    kind ignores must keep its default (:func:`check_shape`)."""
+    check_shape(kind, z=z, blockade_range=blockade_range, alpha=alpha, beta=beta)
     if kind is ProtocolKind.GHZ2:
         return plan_ghz(n_sites, LevelScheme.TWO_LEVEL)
     if kind is ProtocolKind.GHZ3:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import NumericalError
@@ -25,18 +23,12 @@ def ghz_target(n_sites: int, scheme: LevelScheme) -> np.ndarray:
     """(|0x0x...> + |x0x0...>)/sqrt(2), x the excited level of the scheme.
 
     Two-level chains store the pattern in the Rydberg level, three-level
-    chains in the hyperfine level.  Odd lengths are allowed but warned
-    about: the two components then differ in excitation number.
+    chains in the hyperfine level.  At odd lengths the two components differ
+    in excitation number, so they are not energy-degenerate.
     """
     if n_sites < 2:
         raise ValueError("GHZ pattern needs at least 2 sites")
     amp = np.zeros(require_capacity(n_sites, scheme.local_dim), dtype=np.complex128)
-    if n_sites % 2:
-        warnings.warn(
-            f"alternating pattern on {n_sites} sites is not energy-degenerate "
-            "between its two components; even chain lengths are canonical",
-            stacklevel=2,
-        )
     x = HYPERFINE if scheme is LevelScheme.THREE_LEVEL else RYDBERG
     dim = scheme.local_dim
     a = [x if k % 2 else 0 for k in range(n_sites)]  # x 0 x 0 ...

@@ -1,7 +1,5 @@
 """Independent dense oracles for the package's fast paths, used by tests only."""
 
-import warnings
-
 import numpy as np
 import scipy.optimize
 
@@ -58,9 +56,7 @@ def sweep_cell_by_loop(spec, plan, grid_index) -> SweepRecord:
     """
     n, ratio = plan.n_sites, spec.grid[grid_index]
     runs = 1 if spec.disorder.is_none else spec.realizations
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # odd-length GHZ targets warn
-        target = _target_state(spec, plan)
+    target = _target_state(spec, plan)
     values = []
     for i in range(runs):
         seed = realization_seed(spec.master_seed, n, grid_index, i)

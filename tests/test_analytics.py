@@ -17,7 +17,7 @@ from rydchain.analytics import (
     two_atom_coefficients,
 )
 from rydchain.dynamics import InteractionRange
-from rydchain.errors import NumericalError
+from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import (
     HyperfinePolicy,
     ProtocolKind,
@@ -261,6 +261,7 @@ class TestNMax:
             (ProtocolKind.DIMER_MPS, 1.0, instant),
             (ProtocolKind.DIMER_MPS, 10.0, instant),
         ):
+            shape = {} if z is None else {"z": z}  # a z the kind ignores raises
             def duration(n):
                 if kind is ProtocolKind.TRANSPORT:
                     plan = plan_transport(n, 1.0, 0.0)
@@ -273,7 +274,7 @@ class TestNMax:
                 return protocol_duration(plan, omega, policy)
 
             def n_max(budget):
-                return estimate_n_max(kind, v0, omega, budget, z=z, hyperfine_policy=policy)
+                return estimate_n_max(kind, v0, omega, budget, **shape, hyperfine_policy=policy)
 
             scan = max(n for n in range(1, 200) if n == 1 or duration(n) <= tau)
             assert n_max(tau) == scan >= 2
@@ -281,9 +282,23 @@ class TestNMax:
             # a budget exactly equal to a chain's duration admits that chain
             for n in (2, 3, scan):
                 assert n_max(duration(n)) == n
-        # all dimer angles vanish at z = 0, so every length up to the cap fits
-        assert estimate_n_max(ProtocolKind.DIMER_MPS, v0, omega, 0.0, z=0.0) == 1000
-        assert estimate_n_max(ProtocolKind.DIMER_MPS, v0, omega, tau, z=0.0, n_cap=37) == 37
+        # all dimer angles vanish at z = 0, so every length up to the cap fits:
+        # the cap is no answer (this once returned n_cap)
+        with pytest.raises(CapacityError, match="n_cap = 1000"):
+            estimate_n_max(ProtocolKind.DIMER_MPS, v0, omega, 0.0, z=0.0)
+        with pytest.raises(CapacityError, match="n_cap = 37"):
+            estimate_n_max(ProtocolKind.DIMER_MPS, v0, omega, tau, z=0.0, n_cap=37)
+
+    @pytest.mark.parametrize("tau", [np.inf, 1e9])
+    def test_budget_past_the_cap_raises(self, tau):
+        for kind in ProtocolKind:
+            with pytest.raises(CapacityError, match="n_cap = 1000"):
+                estimate_n_max(kind, 52.78, 7.649, tau)
+
+    def test_z_of_a_kind_that_ignores_it_raises(self):
+        # a z once passed to a transport plan was dropped: 10, as without it
+        with pytest.raises(ValueError, match="protocol transport ignores z"):
+            estimate_n_max(ProtocolKind.TRANSPORT, 52.78, 7.649, 2.0, z=10.0)
 
     def test_faster_drive_never_shrinks_reach(self):
         v0 = 52.78

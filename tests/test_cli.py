@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydchain import cli, montecarlo
 from rydchain.analytics import ghz_fidelity_two_atoms
@@ -87,6 +90,33 @@ class TestSweepCommand:
             )
             bodies.append(out.with_suffix(".csv").read_bytes())
         assert bodies[0] == bodies[1] == bodies[2]
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.data())
+    def test_worker_count_never_changes_the_csv(self, data):
+        protocol = data.draw(st.sampled_from(["ghz2", "ghz3", "mps", "transport"]))
+        lengths = st.integers(2, 4 if protocol == "ghz3" else 6)
+        n_list = data.draw(st.lists(lengths, min_size=1, max_size=3))
+        grid = sorted(data.draw(st.sets(st.floats(1.0, 30.0), min_size=1, max_size=3)))
+        argv = [
+            "sweep", "--protocol", protocol, "--n", ",".join(map(str, n_list)),
+            "--grid", ",".join(map(repr, grid)),
+            "--disorder", data.draw(st.sampled_from(["none", "iso", "aniso"])),
+            "--realizations", str(data.draw(st.integers(1, 8))),
+            "--seed", str(data.draw(st.integers(0, 2**32 - 1))),
+            "--range", data.draw(st.sampled_from(["full", "nn"])),
+        ]
+        if protocol == "mps":
+            argv += [f"--z={data.draw(st.floats(-3.0, 3.0))!r}", f"--R={data.draw(st.integers(1, 2))}"]
+        if protocol == "transport":
+            argv += [f"--alpha={data.draw(st.floats(-1.0, 1.0))!r}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            bodies = []
+            for workers in ("1", "2"):
+                out = Path(tmp) / workers
+                assert run_cli(*argv, "--workers", workers, "--out", str(out)) == 0
+                bodies.append(out.with_suffix(".csv").read_bytes())
+        assert bodies[0] == bodies[1]
 
     def test_capacity_failure_exits_4_and_keeps_the_row(self, tmp_path, capsys):
         out = tmp_path / "cap"
@@ -291,6 +321,18 @@ class TestFitCommand:
         assert run_cli("fit", str(data)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_header_after_leading_blank_lines(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("\n  \nN,f\n2,0.9\n3,0.85\n4,0.8\n")
+        assert run_cli("fit", str(data)) == 0
+        assert capsys.readouterr().out.startswith("a=")
+
+    def test_only_the_first_line_may_be_a_header(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("N,f\nN,f\n2,0.9\n3,0.85\n4,0.8\n")
+        assert run_cli("fit", str(data)) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_nan_fidelity_exits_2(self, tmp_path, capsys):
         # a capacity failure leaves a NaN row in a sweep CSV
         data = tmp_path / "data.csv"
@@ -344,6 +386,13 @@ class TestNmaxCommand:
         values = dict(line.split("=") for line in out.strip().splitlines())
         assert set(values) == {"transport", "ghz", "mps_z1", "mps_z10"}
         assert all(int(v) >= 2 for v in values.values())
+
+    @pytest.mark.parametrize("tau", ["inf", "1e9"])
+    def test_budget_past_the_search_cap_exits_4(self, capsys, tau):
+        # this once printed transport=1000 ghz=1000 mps_z1=1000 mps_z10=1000 and exited 0
+        assert run_cli("nmax", "--tau-exp", tau, "--v0", "52.78", "--ratio", "6.9") == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n_cap = 1000" in captured.err
 
     @pytest.mark.parametrize("flag,value", [
         pytest.param("--tau-exp", "nan", id="nan-budget"),

@@ -28,6 +28,11 @@ SETTINGS = settings(max_examples=25, deadline=None)
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
 
 
+def dimer_z(kind, z) -> dict:
+    """plan_for's z argument for ``kind``: only the dimer plan takes one."""
+    return {"z": z} if kind is ProtocolKind.DIMER_MPS else {}
+
+
 @st.composite
 def chains(draw):
     """(scheme, couplings, detuning, omega) on 2-4 sites, plus one pulse."""
@@ -142,7 +147,7 @@ def test_ideal_gate_matches_per_index_oracle(chain, radius, theta, seed):
 def test_realistic_approaches_ideal_as_interaction_grows(case, n, log_ratio, z):
     kind, interaction_range = case
     ratio = 10.0**log_ratio  # V0 / Omega, log-uniform in [1e2, 1e5]
-    plan = plan_for(kind, n, z)
+    plan = plan_for(kind, n, **dimer_z(kind, z))
     ideal = execute(plan, IdealBackend())
     backend = realistic_backend(chain_hamiltonian(n, ratio, interaction_range), 1.0, plan.scheme)
     realistic = execute(plan, backend)
@@ -182,7 +187,7 @@ def test_prefix_execution_equals_full_width(kind, n, disorder, ratio, omega, rea
     if kind is ProtocolKind.GHZ3:
         n = min(n, 9)
     rng = np.random.default_rng(seed)
-    plan = plan_for(kind, n, z=float(rng.uniform(-3.0, 3.0)))
+    plan = plan_for(kind, n, **dimer_z(kind, float(rng.uniform(-3.0, 3.0))))
     if realistic:
         config = sample_configuration(n, R0_DEFAULT, disorder_preset(disorder), seed)
         detuning = rng.uniform(-2.0, 2.0, n)

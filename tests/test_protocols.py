@@ -348,6 +348,21 @@ class TestPlanFor:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             plan_for("ghz4", 4)
+        with pytest.raises(ValueError):
+            plan_for("ghz4", 4, z=2.0)
+
+    @pytest.mark.parametrize("kind,shape,names", [
+        (ProtocolKind.GHZ2, {"z": 5.0}, "z"),
+        (ProtocolKind.GHZ3, {"blockade_range": 2, "beta": 0.8}, "blockade_range, beta"),
+        (ProtocolKind.TRANSPORT, {"blockade_range": 2}, "blockade_range"),
+        (ProtocolKind.DIMER_MPS, {"alpha": float("nan")}, "alpha"),
+        (ProtocolKind.GHZ2, {"z": 5.0, "alpha": 0.6, "beta": 0.8}, "z, alpha, beta"),
+    ])
+    def test_argument_the_kind_ignores_raises(self, kind, shape, names):
+        # plan_for(GHZ2, 4, z=5.0, ...) once returned the plain GHZ plan, and
+        # plan_for(TRANSPORT, 3, blockade_range=2) a range-1 plan
+        with pytest.raises(ValueError, match=f"^protocol {kind.value} ignores {names}$"):
+            plan_for(kind, 4, **shape)
 
 
 class TestExecute:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,10 +38,12 @@ class TestGhzTarget:
     def test_normalized(self):
         assert np.linalg.norm(ghz_target(6, THREE)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_odd_length_warns(self):
-        with pytest.warns(UserWarning) as record:
-            ghz_target(3, TWO)
-        assert record[0].filename == __file__  # pointed at the caller
+    def test_odd_length_is_quiet(self):
+        # an odd length once warned on every call, and the sweep filtered it out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = ghz_target(3, TWO)
+        assert list(np.flatnonzero(t)) == [0b010, 0b101]
 
     def test_capacity_checked_before_allocation(self):
         with pytest.raises(CapacityError, match="exceeds the cap"):

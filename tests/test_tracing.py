@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/spans.py) wraps rydchain functions by
-module and name, and its work model (perfbench/workloads.py) counts the
-pulses of rydchain's plans; a rename or a changed plan must fail here rather
-than when a benchmark run starts."""
+module and name, its work model (perfbench/workloads.py) counts the pulses
+of rydchain's plans, and its output checks hold each pass to stored results;
+a rename, a changed plan or a moved output must fail here rather than when a
+benchmark run starts."""
 
 import importlib
 import importlib.util
@@ -50,3 +51,13 @@ def test_work_counts_match_the_stored_ones(name, tmp_path):
     workloads = perfbench_module("workloads")
     stored = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["counts"]
     assert workloads.WORKLOADS[name](workloads.DEFAULT_SEED, tmp_path).counts() == stored[name]
+
+
+@pytest.mark.parametrize("name", ["disorder-table", "large-chain", "cli-pipeline"])
+def test_default_seed_pass_meets_the_stored_outputs(name, tmp_path):
+    # perfbench/child.py marks a run's operations failed on these checks,
+    # among them each stored mean to within 1e-12
+    workloads = perfbench_module("workloads")
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+    workload = workloads.WORKLOADS[name](workloads.DEFAULT_SEED, tmp_path)
+    assert workload.check(workload.run_pass(), expected) == {}

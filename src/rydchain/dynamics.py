@@ -46,8 +46,10 @@ with t = theta / (2 Omega) is the unique pairing that makes a free pulse a
 theta rotation and reproduces the closed-form two-atom amplitudes.
 
 The kernel acts on an m-site prefix of the chain whenever the sites past m
-are all |0> (see :mod:`rydchain.protocols`): it receives m as ``n_sites``
-and the matching slice of the diagonal, and never sees the untouched tail.
+are all |0> (see :mod:`rydchain.protocols`): it receives m as ``n_sites``,
+the prefix as a strided view of the whole state
+(:func:`rydchain.statekit.ground_tail`), which it writes in place, and the
+matching view of the diagonal, and never sees the untouched tail.
 The diagonal itself (:func:`interaction_diagonal`) is the quadratic form
 n^T M n, M = V/2 + diag(Delta), summed from small tables of the two
 half-chains.
@@ -220,23 +222,26 @@ def _half_tables(n_sites: int, local_dim: int):
 # the per-site kernel on the (pre, level, post) view of statekit.site_view
 
 def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, u_lo, u_off, u_hi, u_idle=None):
-    """For every frozen configuration of the other atoms, mix the pair that
-    ``step`` drives by [[u_lo, -u_off], [u_off, u_hi]] (scalars or flat arrays
-    over those configurations); a three-level chain multiplies its undriven
-    level by ``u_idle``."""
+    """In ``amp``, for every frozen configuration of the other atoms, mix the
+    pair that ``step`` drives by [[u_lo, -u_off], [u_off, u_hi]] (scalars or
+    flat arrays over those configurations); a three-level chain multiplies
+    its undriven level by ``u_idle``."""
     lo, hi = step.transition.levels
     view = site_view(amp, n_sites, local_dim, step.site)
-    new = np.empty_like(view)
-    # level-major copies, row k = level k in basis order: ufuncs cost more per
+    # level-major rows, row k = level k in basis order: ufuncs cost more per
     # call on the strided 2-D slices of the view than on one flat block
     a_rows = level_rows(amp, n_sites, local_dim, step.site)
     a_lo, a_hi = a_rows[lo], a_rows[hi]
-    new[:, lo] = (u_lo * a_lo - u_off * a_hi).reshape(len(view), -1)
-    new[:, hi] = (u_off * a_lo + u_hi * a_hi).reshape(len(view), -1)
+    # both rows are computed before either is written: on the first and last
+    # site a_rows is a view of amp, so a row written first would change the
+    # input of the other
+    new_lo = u_lo * a_lo - u_off * a_hi
+    new_hi = u_off * a_lo + u_hi * a_hi
+    view[:, lo] = new_lo.reshape(len(view), -1)
+    view[:, hi] = new_hi.reshape(len(view), -1)
     if local_dim == 3:
         idle = step.transition.idle_level
-        new[:, idle] = (a_rows[idle] * u_idle).reshape(len(view), -1)
-    return new.reshape(-1)
+        view[:, idle] = (a_rows[idle] * u_idle).reshape(len(view), -1)
 
 
 def _free_of_blockade(n_sites, local_dim, site, radius):
@@ -259,11 +264,12 @@ def _none_rydberg(n_sites, local_dim):
 
 
 def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int, phase=1):
-    """``phase`` times the theta rotation, which a blocked configuration skips."""
+    """``phase`` times the theta rotation, in ``amp``; a blocked configuration
+    skips the rotation."""
     free = _free_of_blockade(n_sites, local_dim, step.site, radius)
     c = phase * np.where(free, np.cos(step.theta), 1.0)
     s = phase * np.where(free, np.sin(step.theta), 0.0)
-    return _rotate_pairs(amp, n_sites, local_dim, step, c, s, c, phase)
+    _rotate_pairs(amp, n_sites, local_dim, step, c, s, c, phase)
 
 
 def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
@@ -309,8 +315,8 @@ def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
 
 
 def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
-    """Exact evolution of each closed 2x2 block for t = |theta| / (2 omega):
-    the one-pulse case of :func:`_pulse_coefficients`."""
+    """Exact evolution of each closed 2x2 block for t = |theta| / (2 omega),
+    in ``amp``: the one-pulse case of :func:`_pulse_coefficients`."""
     lo, hi = step.transition.levels
     t = abs(step.theta) / (2.0 * omega)
     drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
@@ -318,7 +324,7 @@ def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
     idle = e_rows[step.transition.idle_level] if local_dim == 3 else None
     coefficients = _pulse_coefficients(e_rows[lo], e_rows[hi], idle, t, drive)
     del e_rows, idle  # the diagonal rows are not needed while the pairs mix
-    return _rotate_pairs(amp, n_sites, local_dim, step, *coefficients)
+    _rotate_pairs(amp, n_sites, local_dim, step, *coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,22 @@ Every sequence addresses sites in nearly increasing order, which
 :func:`execute` turns into less work.  Sites past the highest one pulsed so
 far (m) are still exactly |0>, and |0> carries no interaction or detuning
 energy, so the state is |psi_m> (x) |0...0> and a pulse needs only the d^m
-prefix amplitudes, whose diagonal is every d^(n-m)-th entry of the full one.
-When a step first addresses a site past m, the prefix grows by interleaving
-zeros; it is widened to the full chain, if it is not already, before the
-post-processing gates.
+prefix amplitudes: every d^(n-m)-th entry of the whole chain's, and of its
+diagonal.  execute writes the initial state into one zeroed array over the
+whole chain and runs each pulse in place on the strided view of its prefix
+(:func:`rydchain.statekit.ground_tail`); a step past m only widens the
+view, and the post-processing gates run on the whole array.
 
 What of this depends on the plan alone, its :class:`PulseSchedule`, is
-compiled on the first :func:`execute` and kept on the plan: the initial
-prefix, each pulse's width m, and the gathered pulses.  A pulse at width m
-drives d^(m-1) blocks (one per configuration of the other atoms), so pulses
-never drive fewer blocks than the ones before them; the leading pulses that
-drive at most :data:`COEF_CHUNK` blocks each are gathered.  On the realistic
-backend, their 2x2 block coefficients come from one pass over the
-realization's diagonal, read at positions the schedule holds; each pulse
-then only mixes its pairs.  A wider pulse reads its diagonal through views,
-so the schedule never holds a table that grows with d^n.
+compiled on the first :func:`execute` and kept on the plan: each pulse's
+width m and the gathered pulses.  A pulse at width m drives d^(m-1) blocks
+(one per configuration of the other atoms), so pulses never drive fewer
+blocks than the ones before them; the leading pulses that drive at most
+:data:`COEF_CHUNK` blocks each are gathered.  On the realistic backend,
+their 2x2 block coefficients come from one pass over the realization's
+diagonal, read at positions the schedule holds; each pulse then only mixes
+its pairs.  A wider pulse reads its diagonal through views, so the schedule
+never holds a table that grows with d^n.
 
 A :class:`RealisticBackend` holds one realization's basis energies (the
 diagonal of H over the whole chain) and Omega, not a Hamiltonian: a sweep
@@ -67,7 +68,6 @@ from .dynamics import (
 from .errors import NumericalError
 from .statekit import (
     LevelScheme,
-    append_ground,
     check_norm,
     check_qubit,
     ground_tail,
@@ -341,11 +341,6 @@ class RealisticBackend:
             raise ValueError("omega must be finite and positive")
 
 
-#: Fewest amplitudes a prefix starts with, unless the whole chain has fewer:
-#: below about this size a pulse costs its fixed numpy calls, not its
-#: arithmetic, so a shorter prefix saves nothing and each growth adds calls.
-MIN_PREFIX_AMPLITUDES = 64
-
 #: Most driven-pair configurations a pulse may drive and still have its block
 #: coefficients gathered with the schedule's other pulses; a pulse with more
 #: reads its diagonal through views.  A constant, so no result depends on the
@@ -357,21 +352,18 @@ COEF_CHUNK = 4096
 class PulseSchedule:
     """What :func:`execute` needs of a plan beyond its steps, compiled once.
 
-    ``initial`` is the plan's initial state on its first ``start`` sites,
-    every later site in |0>, and ``widths`` each pulse's prefix width m (a
-    pulse grows the prefix when its m exceeds the previous one's).  The
-    pulses ``steps[:len(parts)]``, those driving at most COEF_CHUNK blocks,
-    are gathered: ``index`` holds the positions, in the whole chain's
-    diagonal, of each block's driven levels lo and hi and, on three levels,
-    its undriven one, one row per role and one column per block, pulse after
-    pulse in :func:`rydchain.dynamics._rotate_pairs`' order.  ``half_theta``
+    ``widths`` holds each pulse's prefix width m, the highest site pulsed
+    so far.  The pulses ``steps[:len(parts)]``, those driving at most
+    COEF_CHUNK blocks, are gathered: ``index`` holds the positions, in the
+    whole chain's diagonal, of each block's driven levels lo and hi and, on
+    three levels, its undriven one, one row per role and one column per
+    block, pulse after pulse in :func:`rydchain.dynamics._rotate_pairs`'
+    order.  ``half_theta``
     (|theta|/2) and ``sign`` (sign(theta), +1 for theta = 0) repeat each
     pulse's value over its blocks, and ``parts`` slices out each pulse's
     blocks.  Every array is read-only.
     """
 
-    start: int
-    initial: np.ndarray
     widths: tuple[int, ...]
     index: np.ndarray
     half_theta: np.ndarray
@@ -381,18 +373,7 @@ class PulseSchedule:
 
 def _compile_schedule(plan: ProtocolPlan) -> PulseSchedule:
     n, dim = plan.n_sites, plan.scheme.local_dim
-    start = 0
-    while start < n and dim**start < MIN_PREFIX_AMPLITUDES:
-        start += 1
-    if plan.kind is ProtocolKind.TRANSPORT:  # the plan checked its qubit when built
-        qubit = np.array([plan.alpha, plan.beta], dtype=np.complex128)
-        initial = append_ground(qubit, dim, start - 1)
-    else:
-        initial = append_ground(np.ones(1, dtype=np.complex128), dim, start)
-    widths, m = [], start
-    for step in plan.steps:
-        m = max(m, step.site)
-        widths.append(m)
+    widths = tuple(accumulate((step.site for step in plan.steps), max))
     # widths never decrease, so the pulses that drive at most COEF_CHUNK
     # blocks are a leading run
     per_block = [dim ** (m - 1) for m in widths if dim ** (m - 1) <= COEF_CHUNK]
@@ -409,22 +390,21 @@ def _compile_schedule(plan: ProtocolPlan) -> PulseSchedule:
     index = np.concatenate(index, axis=1)
     half_theta = np.repeat([abs(step.theta) / 2.0 for step in steps], per_block)
     sign = np.repeat([np.sign(step.theta) if step.theta else 1.0 for step in steps], per_block)
-    for table in (initial, index, half_theta, sign):
+    for table in (index, half_theta, sign):
         table.setflags(write=False)
-    return PulseSchedule(start, initial, tuple(widths), index, half_theta, sign, parts)
+    return PulseSchedule(widths, index, half_theta, sign, parts)
 
 
 def execute(plan: ProtocolPlan, backend) -> np.ndarray:
     """Apply the plan's pulses then its post-processing gates: the one way a
     pulse is run.  Returns the final amplitudes over the plan's whole chain.
 
-    Pulses run on a growing prefix of the chain, from the plan's compiled
-    schedule (see the module docstring).
+    Pulses run in place on a growing prefix of the one array returned, from
+    the plan's compiled schedule (see the module docstring).
     """
     n, dim = plan.n_sites, plan.scheme.local_dim
     size = require_capacity(n, dim)
     schedule = plan.schedule
-    m, amp = schedule.start, schedule.initial.copy()
     realistic = isinstance(backend, RealisticBackend)
     if realistic:
         e_tot = backend.energies
@@ -436,26 +416,23 @@ def execute(plan: ProtocolPlan, backend) -> np.ndarray:
         del rows
     elif not isinstance(backend, IdealBackend):
         raise TypeError(f"unknown backend {backend!r}")
+    amp = np.zeros(size, dtype=np.complex128)
+    if plan.kind is ProtocolKind.TRANSPORT:  # the plan checked its qubit when built
+        amp[0], amp[size // dim] = plan.alpha, plan.beta
+    else:
+        amp[0] = 1.0
     gathered = len(schedule.parts)
-    for i, (step, width) in enumerate(zip(plan.steps, schedule.widths)):
-        if width > m:
-            amp, m = append_ground(amp, dim, width - m), width
+    for i, (step, m) in enumerate(zip(plan.steps, schedule.widths)):
+        prefix = ground_tail(amp, n, dim, m)
         if not realistic:
-            amp = _ideal_on_array(amp, m, dim, step, plan.blockade_range)
+            _ideal_on_array(prefix, m, dim, step, plan.blockade_range)
         elif i < gathered:
             part = schedule.parts[i]
-            amp = _rotate_pairs(amp, m, dim, step, *[u[part] for u in coefficients])
-            if i + 1 == gathered:
-                # released before the wide pulses allocate their d^m arrays:
-                # held through them, they raised a ghz2 N = 18 run's minor
-                # page faults by about 4% (glibc malloc)
-                del coefficients
+            _rotate_pairs(prefix, m, dim, step, *[u[part] for u in coefficients])
         else:
-            amp = _pulse_on_array(amp, m, dim, step, ground_tail(e_tot, n, dim, m), backend.omega)
-    if m < n:
-        amp = append_ground(amp, dim, n - m)
+            _pulse_on_array(prefix, m, dim, step, ground_tail(e_tot, n, dim, m), backend.omega)
     for post in plan.post_steps:
-        amp = _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
+        _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
     return check_norm(amp)
 
 

@@ -8,8 +8,8 @@ digit (d = 2 or 3).  Level labels are GROUND = 0, RYDBERG = 1 and
 HYPERFINE = 2; only the Rydberg level interacts.
 
 In this layout a chain whose sites past m are all |0> keeps its m-site
-amplitudes at every d**(n-m)-th index: :func:`ground_tail` reads them and
-:func:`append_ground` writes them back out.
+amplitudes at every d**(n-m)-th index: :func:`ground_tail` is the strided
+view of them, through which they are read and written in place.
 """
 
 from __future__ import annotations
@@ -73,22 +73,15 @@ def site_view(array: np.ndarray, n_sites: int, local_dim: int, site: int) -> np.
 def level_rows(array: np.ndarray, n_sites: int, local_dim: int, site: int) -> np.ndarray:
     """Flat ``array`` in level-major order, shaped ``(d, d**(n_sites-1))``:
     row k holds the entries with ``site`` at level k, in the basis order of
-    the other atoms.  A copy, or a view when ``site`` is 1."""
+    the other atoms.  A view when ``site`` is 1 or ``n_sites``, else a copy."""
     return site_view(array, n_sites, local_dim, site).transpose(1, 0, 2).reshape(local_dim, -1)
 
 
 def ground_tail(array: np.ndarray, n_sites: int, local_dim: int, prefix_sites: int) -> np.ndarray:
     """Strided view of the entries of ``array`` (basis index on axis 0) whose
-    sites past ``prefix_sites`` are all |0>, in the prefix's basis order."""
+    sites past ``prefix_sites`` are all |0>, in the prefix's basis order.
+    Its stride is uniform, so :func:`site_view` reshapes it without a copy."""
     return array[:: local_dim ** (n_sites - prefix_sites)]
-
-
-def append_ground(amp: np.ndarray, local_dim: int, sites: int) -> np.ndarray:
-    """``amp`` (x) |0...0>: the amplitudes of a chain extended by ``sites``
-    atoms in |0> after its last site (zeros interleaved)."""
-    out = np.zeros((len(amp), local_dim**sites), dtype=amp.dtype)
-    out[:, GROUND] = amp
-    return out.reshape(-1)
 
 
 def encode_occupations(occupations, local_dim: int) -> int:

@@ -28,7 +28,8 @@ def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
 
     Reference for :func:`rydchain.protocols.execute`, which starts from the
     plan's own initial state and pulses only the prefix of sites touched so
-    far; it runs the same per-site kernels, so both agree to the last bits.
+    far; it runs the same per-site kernels, in place on a copy of
+    ``amplitudes``, so both agree to the last bits.
     """
     n, dim = plan.n_sites, plan.scheme.local_dim
     amp = np.array(amplitudes, dtype=np.complex128)
@@ -37,11 +38,11 @@ def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
     realistic = isinstance(backend, RealisticBackend)
     for step in plan.steps:
         if realistic:
-            amp = _pulse_on_array(amp, n, dim, step, backend.energies, backend.omega)
+            _pulse_on_array(amp, n, dim, step, backend.energies, backend.omega)
         else:
-            amp = _ideal_on_array(amp, n, dim, step, plan.blockade_range)
+            _ideal_on_array(amp, n, dim, step, plan.blockade_range)
     for post in plan.post_steps:
-        amp = _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
+        _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
     return check_norm(amp)
 
 

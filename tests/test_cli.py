@@ -367,6 +367,12 @@ class TestRkCheckCommand:
     def test_zero_omega_guard(self, capsys):
         assert run_cli("rk-check", "--n", "4", "--v0-over-omega", "64", "--omega", "0") == 2
 
+    def test_chain_over_ten_sites_exits_2(self, capsys):
+        # the command's own limit, checked before any Hamiltonian is built
+        assert run_cli("rk-check", "--n", "11", "--v0-over-omega", "64") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rk-check supports n <= 10" in captured.err
+
     @pytest.mark.parametrize("flag,value", [
         ("--v0-over-omega", "nan"), ("--omega", "nan"), ("--omega", "inf"),
         ("--v0-over-omega", "inf"),

@@ -11,6 +11,7 @@ from rydchain.dynamics import (
     InteractionRange,
     PulseStep,
     Transition,
+    _rotate_pairs,
     build_full_hamiltonian,
     ground_state_dense,
     half_pi_pulse,
@@ -18,7 +19,7 @@ from rydchain.dynamics import (
     pi_pulse,
 )
 from rydchain.errors import CapacityError
-from rydchain.statekit import LevelScheme
+from rydchain.statekit import LevelScheme, ground_tail, site_view
 
 TWO = LevelScheme.TWO_LEVEL
 THREE = LevelScheme.THREE_LEVEL
@@ -214,6 +215,51 @@ class TestRealisticPulse:
             omega,
         )
         assert np.abs(dense - fast).max() < 1e-9
+
+
+class TestInPlaceKernel:
+    """execute pulses the strided prefix view of one whole-chain array in place."""
+
+    CASES = [
+        (d, n, m, site, transition)
+        for d in (2, 3) for n in range(1, 6) for m in range(1, n + 1) for site in range(1, m + 1)
+        for transition in Transition if d == 3 or transition is G_R
+    ]
+
+    @pytest.mark.parametrize("d, n, m, site", sorted({case[:4] for case in CASES}))
+    def test_site_view_of_prefix_shares_the_buffer(self, d, n, m, site):
+        buf = np.zeros(d**n, complex)
+        assert np.shares_memory(site_view(ground_tail(buf, n, d, m), m, d, site), buf)
+
+    @pytest.mark.parametrize("d, n, m, site, transition", CASES)
+    def test_rotate_pairs_on_strided_prefix(self, rng, d, n, m, site, transition):
+        # site 1 and site m are among the cases: there level_rows is a view of
+        # the state, so a row written early would corrupt the other's input
+        buf = random_state(rng, d**n)
+        before = buf.copy()
+        prefix = ground_tail(buf, n, d, m)
+        contiguous = prefix.copy()
+        step = PulseStep(site, transition, 0.7)
+        configs = d ** (m - 1)
+        coefficients = [rng.normal(size=configs) + 1j * rng.normal(size=configs) for _ in range(4)]
+        used = coefficients[: 3 + (d == 3)]  # u_idle on three levels only
+        _rotate_pairs(prefix, m, d, step, *used)
+        _rotate_pairs(contiguous, m, d, step, *used)
+        assert prefix.tobytes() == contiguous.tobytes()
+        # the same products, level by level, from the untouched input
+        v = site_view(ground_tail(before, n, d, m), m, d, site)
+        u_lo, u_off, u_hi, u_idle = (u.reshape(len(v), -1) for u in coefficients)
+        lo, hi = transition.levels
+        expected = v.copy()
+        expected[:, lo] = u_lo * v[:, lo] - u_off * v[:, hi]
+        expected[:, hi] = u_off * v[:, lo] + u_hi * v[:, hi]
+        if d == 3:
+            expected[:, transition.idle_level] = v[:, transition.idle_level] * u_idle
+        assert contiguous.tobytes() == expected.tobytes()
+        # every entry outside the prefix is unchanged
+        outside = np.ones(d**n, bool)
+        outside[:: d ** (n - m)] = False
+        assert buf[outside].tobytes() == before[outside].tobytes()
 
 
 class TestHamiltonianSpec:

@@ -371,7 +371,7 @@ class TestExecute:
     ], ids=lambda plan: f"{plan.kind.value}{plan.n_sites}")
     @pytest.mark.parametrize("realistic", [False, True], ids=["ideal", "realistic"])
     def test_over_capacity_raises_before_allocating(self, plan, realistic):
-        # the prefix starts small, so the gate must not wait for a full-width array
+        # the gate runs before execute allocates its whole-chain array
         backend = IdealBackend()
         if realistic:
             # energies of the right length that allocate nothing: one zero, broadcast
@@ -396,7 +396,7 @@ class TestExecute:
         assert np.abs(out - dense).max() < 1e-9
 
     def test_empty_plan_returns_input(self):
-        # the transported qubit on site 1, widened over the chain with no pulse run
+        # the transported qubit on site 1 of a zeroed chain, with no pulse run
         plan = ProtocolPlan(ProtocolKind.TRANSPORT, 2, TWO, (), alpha=0.6, beta=0.8)
         out = execute(plan, IdealBackend())
         assert np.array_equal(out, [0.6, 0.0, 0.8, 0.0])
@@ -515,15 +515,15 @@ class TestSchedule:
         assert schedule.index.shape == (dim, total)
         assert schedule.half_theta.shape == schedule.sign.shape == (total,)
         arrays = [v for v in vars(schedule).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
+        assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
 
     def test_execute_returns_its_own_array(self):
-        # with no pulse and no growth, the final state is the initial prefix:
-        # execute must copy it, not hand out the schedule's read-only array
+        # with no pulse the final state is the initial one: each run must
+        # hand out a fresh writable array, never one a later run reuses
         plan = ProtocolPlan(ProtocolKind.GHZ2, 3, TWO, ())
-        final = execute(plan, IdealBackend())
-        assert final.flags.writeable and not np.shares_memory(final, plan.schedule.initial)
-        assert np.array_equal(final, initial_amplitudes(plan))
+        first, second = execute(plan, IdealBackend()), execute(plan, IdealBackend())
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        assert np.array_equal(first, initial_amplitudes(plan))
 
     def test_schedule_memory_is_bounded_by_the_chunk(self):
         # 32 bytes (two positions, |theta|/2 and the sign) per gathered block,

@@ -20,8 +20,8 @@ THREE = LevelScheme.THREE_LEVEL
 
 
 def ground_state(n_sites, scheme):
-    """|0...0>, the start of a plan with no pulses: the prefix execute
-    begins from, widened to the whole chain."""
+    """|0...0>, the start of a plan with no pulses: the whole-chain array
+    execute writes its initial state into and pulses in place."""
     return execute(ProtocolPlan(ProtocolKind.GHZ2, n_sites, scheme, ()), IdealBackend())
 
 

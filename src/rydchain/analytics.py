@@ -11,6 +11,17 @@ gamma is the amplitude for a blocked atom to stay put, leak the amplitude
 to co-excite despite the blockade (|leak|^2 = 1 - |gamma|^2), delta' the
 doubly-excited residue after the two transport pulses.  All three are
 evaluated in one place, :func:`two_atom_coefficients`.
+
+Solvable-point check (:func:`rk_ground_state_overlap`): the chain's
+Hamiltonian omega sigma_y^(k) + diag, taken in the gauge b = (-i)^{n_exc} psi,
+is real, diag + omega sum_k sigma_x^(k).  Its ground state is found
+matrix-free by thick-restart Lanczos (:func:`_lanczos_ground_state`): the
+diagonal from :func:`rydchain.dynamics.interaction_diagonal`, the flips
+through :func:`rydchain.statekit.site_view`, so no 2^n x 2^n matrix is
+built and the one cap is :func:`rydchain.statekit.require_capacity`.  The
+solver stops on a Ritz residual of 1e-12 (max|diag| + n omega), a bound on
+the norm of H, and raises NumericalError rather than return a pair that
+missed it.
 """
 
 from __future__ import annotations
@@ -21,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianSpec, InteractionRange, build_full_hamiltonian, ground_state_dense
+from .dynamics import HamiltonianSpec, InteractionRange, interaction_diagonal
 from .errors import CapacityError, NumericalError
 from .lattice import coupling_matrix, ideal_configuration, truncate_couplings
 from .protocols import HyperfinePolicy, ProtocolKind, plan_for, protocol_duration
-from .statekit import RYDBERG, basis_digits
+from .statekit import require_capacity, site_view
 from .targets import dimer_target_direct
 
 
@@ -110,19 +121,27 @@ def rk_ground_state_overlap(
     interaction_range: InteractionRange = InteractionRange.NEAREST_NEIGHBOR,
     omega: float = 1.0,
 ) -> RkOverlapResult:
-    """Squared overlap of the dense ground state with the dimer target.
+    """Squared overlap of the ground state with the dimer target.
 
     The solvable construction lives in the blockade model where couplings
     beyond next-nearest neighbors are dropped, so the short-range variant
     keeps the nearest and next-nearest shells.  Edge atoms miss one
     next-nearest partner; the construction compensates with an extra
-    V0/64 detuning on the two end sites.  The drive is built with a bare
-    omega*sigma_y coefficient (half the pulse-backend coupling), and the
-    drive phase is rotated out per excitation before comparing with the
-    real-amplitude dimer state.
+    V0/64 detuning on the two end sites.  The drive has a bare
+    omega*sigma_y coefficient (half the pulse-backend coupling).
+
+    The drive phase is rotated out per excitation, b = (-i)^{n_exc} psi, so
+    H is the real diag + omega sum_k sigma_x^(k) and its ground state is
+    compared with the real-amplitude dimer state directly.  That state
+    starts the thick-restart Lanczos solver, which stops once its Ritz
+    residual is at most 1e-12 (max|diag| + n omega) and raises
+    NumericalError after LANCZOS_MAX_RESTARTS restarts without.  A chain
+    past :data:`rydchain.statekit.MAX_AMPLITUDES` raises CapacityError
+    before any array is allocated.
     """
     v0 = v0_over_omega * omega
-    point = rk_point(v0, omega)  # checks both before H is built
+    point = rk_point(v0, omega)  # checks both before anything is built
+    require_capacity(n_sites, 2)
     v_nnn = v0 / 64.0
     base = coupling_matrix(ideal_configuration(n_sites, 1.0), v0, 1.0)
     if interaction_range is InteractionRange.NEAREST_NEIGHBOR:
@@ -130,14 +149,80 @@ def rk_ground_state_overlap(
     detuning = np.full(n_sites, point.delta)
     detuning[0] += v_nnn
     detuning[-1] += v_nnn
-    spec = HamiltonianSpec(base, detuning)
-    H = build_full_hamiltonian(spec, omega / 2.0)  # sigma_y coefficient = omega
-    energy, gs = ground_state_dense(H)
-    target = dimer_target_direct(n_sites, point.z)
-    n_exc = (basis_digits(n_sites, 2) == RYDBERG).sum(axis=1)
-    aligned = (-1j) ** n_exc * gs
-    overlap = float(abs(np.vdot(target, aligned)) ** 2)
+    diag = interaction_diagonal(HamiltonianSpec(base, detuning), 2)
+
+    def apply_h(x, out):
+        np.multiply(diag, x, out=out)
+        for site in range(1, n_sites + 1):
+            # sigma_x of one site swaps the two levels on its axis of the view
+            site_view(out, n_sites, 2, site)[...] += omega * site_view(x, n_sites, 2, site)[:, ::-1]
+        return out
+
+    target = dimer_target_direct(n_sites, point.z).real
+    norm_bound = np.abs(diag).max() + n_sites * omega
+    energy, ground = _lanczos_ground_state(apply_h, target, 1e-12 * norm_bound)
+    overlap = float(np.dot(target, ground) ** 2)
     return RkOverlapResult(point.delta, point.z, energy, overlap)
+
+
+#: Thick-restart Lanczos: vectors per cycle, lowest Ritz vectors kept across
+#: a restart, and restarts allowed before the solver gives up.
+LANCZOS_CYCLE = 24
+LANCZOS_KEEP = 8
+LANCZOS_MAX_RESTARTS = 500
+
+
+def _lanczos_ground_state(apply, start, tol) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (energy, unit vector) of the real symmetric operator
+    ``apply(x, out)``, which writes H x into ``out`` and returns it.
+
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602,
+    2000) from ``start``: a cycle grows the basis to LANCZOS_CYCLE vectors,
+    each orthogonalized twice against all before it, and the projection
+    T = V^T H V is diagonalized.  A restart keeps the LANCZOS_KEEP lowest
+    Ritz vectors, whose residuals all lie along the last basis vector, so
+    the next cycle goes on from that vector.  The lowest pair is returned
+    once its residual, first estimated from T and then recomputed, is at
+    most ``tol``.  A basis vector that orthogonalizes to norm <= tol closes
+    an invariant subspace and ends the cycle early (a space smaller than
+    one cycle).  Raises NumericalError when LANCZOS_MAX_RESTARTS restarts
+    do not converge.
+    """
+    dim = len(start)
+    size_max = min(LANCZOS_CYCLE, dim)
+    basis = np.empty((size_max + 1, dim))
+    basis[0] = start / np.linalg.norm(start)
+    T = np.zeros((size_max, size_max))
+    w = np.empty(dim)
+    kept = 0
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        for j in range(kept, size_max):
+            apply(basis[j], w)
+            coefficients = basis[: j + 1] @ w
+            w -= coefficients @ basis[: j + 1]
+            correction = basis[: j + 1] @ w  # the second pass restores orthogonality
+            w -= correction @ basis[: j + 1]
+            T[: j + 1, j] = T[j, : j + 1] = coefficients + correction
+            beta = np.linalg.norm(w)
+            if beta <= tol:
+                break
+            basis[j + 1] = w / beta
+        size = j + 1
+        theta, Y = np.linalg.eigh(T[:size, :size])
+        if beta * abs(Y[-1, 0]) <= tol:
+            ground = Y[:, 0] @ basis[:size]
+            if np.linalg.norm(apply(ground, w) - theta[0] * ground) <= tol:
+                return float(theta[0]), ground
+        if beta <= tol:
+            raise NumericalError(f"Lanczos ground state not converged in an invariant subspace of {size}")
+        kept = min(LANCZOS_KEEP, size - 1)
+        basis[:kept] = Y[:, :kept].T @ basis[:size]
+        basis[kept] = basis[size]
+        T[:] = 0.0
+        T[range(kept), range(kept)] = theta[:kept]
+    raise NumericalError(
+        f"Lanczos ground state not converged to {tol:.3g} in {LANCZOS_MAX_RESTARTS} restarts"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,6 @@ def _is_number(s: str) -> bool:
 
 
 def cmd_rk_check(args) -> int:
-    if args.n > 10:
-        raise ValueError("rk-check supports n <= 10")
     result = rk_ground_state_overlap(
         args.n, args.v0_over_omega, InteractionRange(args.range), omega=args.omega
     )

@@ -328,7 +328,11 @@ def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
 
 
 # ---------------------------------------------------------------------------
-# dense Hamiltonians
+# dense Hamiltonians: the tests' reference, not on any path of the package.
+# The solvable-point check finds its ground state matrix-free
+# (rydchain.analytics).  These builders move to tests/oracles.py once the
+# benchmark's tracer no longer names them as its dynamics.dense_s layer
+# (perfbench/spans.LAYERS).
 
 MAX_DENSE_DIM = 4096
 
@@ -338,7 +342,8 @@ HERMITICITY_BLOCK_ROWS = 64
 
 
 def build_full_hamiltonian(hamiltonian: HamiltonianSpec, omega_per_site) -> np.ndarray:
-    """Dense two-level Hamiltonian: drives 2*omega_k sigma_y plus diagonal terms.
+    """Dense two-level Hamiltonian: drives 2*omega_k sigma_y plus diagonal terms,
+    the tests' reference for the matrix-free paths.
 
     The sigma_y coefficient is 2*omega_k, matching the pulse backend; pass
     half the desired coefficient when a bare omega*sigma_y drive is wanted.
@@ -357,7 +362,8 @@ def build_full_hamiltonian(hamiltonian: HamiltonianSpec, omega_per_site) -> np.n
 
 
 def ground_state_dense(H: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair (energy, normalized eigenvector) of a Hermitian matrix."""
+    """Lowest eigenpair (energy, normalized eigenvector) of a Hermitian matrix,
+    by dense eigh: the tests' reference for the solvable-point check."""
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be square")

@@ -3,23 +3,26 @@
 import numpy as np
 import scipy.optimize
 
-from rydchain.analytics import DecayFit, ghz_fidelity_two_atoms, two_atom_coefficients
+from rydchain.analytics import DecayFit, ghz_fidelity_two_atoms, rk_point, two_atom_coefficients
 from rydchain.dynamics import (
     MAX_DENSE_DIM,
     HamiltonianSpec,
     InteractionRange,
     _ideal_on_array,
     _pulse_on_array,
+    build_full_hamiltonian,
+    ground_state_dense,
     interaction_diagonal,
 )
 from rydchain.errors import CapacityError
 from rydchain.lattice import (
-    R0_DEFAULT, coupling_matrix, realization_seed, sample_configuration, truncate_couplings,
+    R0_DEFAULT, coupling_matrix, ideal_configuration, realization_seed, sample_configuration,
+    truncate_couplings,
 )
 from rydchain.montecarlo import SweepRecord, _target_state
 from rydchain.protocols import ProtocolKind, RealisticBackend, execute
 from rydchain.statekit import GROUND, RYDBERG, basis_digits, check_norm, reduce_to_site
-from rydchain.targets import fidelity_mixed_single_qubit, fidelity_pure
+from rydchain.targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure
 
 
 def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
@@ -245,6 +248,32 @@ def dimer_target_mps(n_sites: int, z: float) -> np.ndarray:
     norm = np.linalg.norm(amp)
     amp /= norm
     return amp
+
+
+def rk_overlap_dense(n_sites, v0_over_omega, interaction_range, omega=1.0):
+    """(energy, overlap, norm bound) of the solvable-point check by dense eigh.
+
+    Reference for :func:`rydchain.analytics.rk_ground_state_overlap`, which
+    finds the same ground state matrix-free: here the complex Hamiltonian
+    with its omega sigma_y drive is built whole, diagonalized, and its ground
+    state rotated by (-i)^{n_exc} before the overlap with the dimer target.
+    The norm bound is max|diag H| + n omega, the scale of the solver's
+    stopping rule.
+    """
+    v0 = v0_over_omega * omega
+    point = rk_point(v0, omega)
+    base = coupling_matrix(ideal_configuration(n_sites, 1.0), v0, 1.0)
+    if interaction_range is InteractionRange.NEAREST_NEIGHBOR:
+        base = truncate_couplings(base, 2)
+    detuning = np.full(n_sites, point.delta)
+    detuning[0] += v0 / 64.0
+    detuning[-1] += v0 / 64.0
+    H = build_full_hamiltonian(HamiltonianSpec(base, detuning), omega / 2.0)
+    energy, ground = ground_state_dense(H)
+    n_exc = (basis_digits(n_sites, 2) == RYDBERG).sum(axis=1)
+    aligned = (-1j) ** n_exc * ground
+    overlap = abs(np.vdot(dimer_target_direct(n_sites, point.z), aligned)) ** 2
+    return energy, overlap, np.abs(np.diag(H)).max() + n_sites * omega
 
 
 def leftmost_fidelity_peak() -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, realistic_backend
-from oracles import leftmost_fidelity_peak, reference_decay_fit
+from oracles import leftmost_fidelity_peak, reference_decay_fit, rk_overlap_dense
+from rydchain import analytics
 from rydchain.analytics import (
     estimate_n_max,
     fit_exponential_decay,
@@ -160,6 +162,66 @@ class TestRkPoint:
         full = rk_ground_state_overlap(4, 64.0, InteractionRange.FULL)
         assert full.overlap < nn.overlap
         assert full.overlap > 0.9  # still a good approximation
+
+
+def assert_matches_dense(n, ratio, interaction_range, omega=1.0):
+    res = rk_ground_state_overlap(n, ratio, interaction_range, omega)
+    energy, overlap, norm_bound = rk_overlap_dense(n, ratio, interaction_range, omega)
+    assert abs(res.energy - energy) <= 1e-12 * norm_bound
+    assert abs(res.overlap - overlap) <= 1e-10
+
+
+class TestRkLanczos:
+    """The matrix-free solver against dense eigh of the whole Hamiltonian."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9), st.floats(np.log(2.0), np.log(1000.0)),
+        st.sampled_from(list(InteractionRange)), st.floats(np.log(0.01), np.log(100.0)),
+    )
+    def test_matches_dense(self, n, log_ratio, interaction_range, log_omega):
+        assert_matches_dense(n, np.exp(log_ratio), interaction_range, np.exp(log_omega))
+
+    @pytest.mark.parametrize("n,ratio,interaction_range", [
+        pytest.param(10, 64.0, InteractionRange.NEAREST_NEIGHBOR, id="cli-pipeline"),
+        # a restart that keeps only the ground Ritz vector needed > 2000 restarts here
+        pytest.param(9, 470.36, InteractionRange.FULL, id="slow"),
+    ])
+    def test_pinned_cases_match_dense(self, n, ratio, interaction_range):
+        assert_matches_dense(n, ratio, interaction_range)
+
+    def test_restart_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(analytics, "LANCZOS_MAX_RESTARTS", 2)
+        with pytest.raises(NumericalError, match="not converged"):
+            rk_ground_state_overlap(9, 470.36, InteractionRange.FULL)
+
+    def test_no_dense_matrix(self, monkeypatch):
+        # a dense H of 12 sites alone would be 4096^2 complex entries, 256 MiB
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        tracemalloc.start()
+        try:
+            res = rk_ground_state_overlap(12, 64.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.overlap >= 0.99
+        assert shapes and all(rows <= 24 and cols <= 24 for rows, cols in shapes)
+        assert peak < 64 * 2**12 * 8
+
+    def test_past_the_state_cap_raises_before_allocating(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the diagonal was built")
+
+        monkeypatch.setattr(analytics, "interaction_diagonal", unreachable)
+        with pytest.raises(CapacityError):
+            rk_ground_state_overlap(21, 64.0)
 
 
 class TestDecayFit:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydchain import cli, montecarlo
+from rydchain import analytics, cli, montecarlo
 from rydchain.analytics import ghz_fidelity_two_atoms
 from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import mps_area_schedule
@@ -367,11 +367,21 @@ class TestRkCheckCommand:
     def test_zero_omega_guard(self, capsys):
         assert run_cli("rk-check", "--n", "4", "--v0-over-omega", "64", "--omega", "0") == 2
 
-    def test_chain_over_ten_sites_exits_2(self, capsys):
-        # the command's own limit, checked before any Hamiltonian is built
-        assert run_cli("rk-check", "--n", "11", "--v0-over-omega", "64") == 2
+    def test_state_cap_is_the_one_limit(self, capsys):
+        # the dense-state cap (N <= 20) is the only limit on the chain
+        assert run_cli("rk-check", "--n", "11", "--v0-over-omega", "64") == 0
+        fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+        assert float(fields["overlap"]) >= 0.99
+        assert run_cli("rk-check", "--n", "21", "--v0-over-omega", "64") == 4
         captured = capsys.readouterr()
-        assert captured.out == "" and "rk-check supports n <= 10" in captured.err
+        assert captured.out == "" and "exceeds the cap" in captured.err
+
+    def test_unconverged_solver_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(analytics, "LANCZOS_MAX_RESTARTS", 2)
+        argv = ("rk-check", "--n", "9", "--v0-over-omega", "470.36", "--range", "full")
+        assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not converged" in captured.err
 
     @pytest.mark.parametrize("flag,value", [
         ("--v0-over-omega", "nan"), ("--omega", "nan"), ("--omega", "inf"),

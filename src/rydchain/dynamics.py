@@ -1,19 +1,24 @@
 """Pulse kernel: constrained ideal rotations and exact pulsed evolution.
 
-One per-site kernel, :func:`_rotate_pairs`, writes every driven pair: for
-each frozen configuration of the other atoms it mixes the two driven levels
+Two kernels write the driven pairs, with the same products and sums: for
+each frozen configuration of the other atoms they mix the two driven levels
 of the addressed atom by a 2x2 matrix [[u_lo, -u_off], [u_off, u_hi]] of
-complex entries, and on a three-level chain multiplies the undriven level
-by u_idle.  The ideal gate and the post-processing gates pass phase * cos
-and phase * sin (and u_idle = phase); the realistic pulse takes its entries
-from :func:`_pulse_coefficients`, which works elementwise over blocks, so
-:func:`rydchain.protocols.execute` computes the entries of all of a plan's
-gathered pulses in one pass and :func:`_pulse_on_array` is its one-pulse
-case.  The kernel acts on raw amplitude arrays and runs only through
-:func:`rydchain.protocols.execute`, whose plan has checked every site,
-transition and the blockade range when it was built.  It addresses one atom
-through :func:`rydchain.statekit.site_view` and
-:func:`rydchain.statekit.level_rows`, the one home of the basis layout.
+complex entries, and on a three-level chain multiply the undriven level by
+u_idle.  :func:`_rotate_pairs` works on views of the state; the ideal gate
+and the post-processing gates pass it phase * cos and phase * sin (and
+u_idle = phase), and a wide realistic pulse (:func:`_pulse_on_array`) its
+entries from :func:`_pulse_coefficients`.  :func:`_mix_gathered` mixes a
+gathered realistic pulse's pairs read at precompiled positions.
+_pulse_coefficients works elementwise over blocks, so
+:func:`rydchain.protocols.gathered_mixes` computes the entries of all of a
+plan's gathered pulses, for a group of realizations, in one pass, and
+_pulse_on_array is its one-pulse case.  The kernels act on raw amplitude
+arrays and run only through :func:`rydchain.protocols.execute`, whose plan
+has checked every site, transition and the blockade range when it was
+built.  _rotate_pairs addresses one atom through
+:func:`rydchain.statekit.site_view` and :func:`rydchain.statekit.level_rows`,
+the one home of the basis layout, from which the plan's schedule also
+compiles _mix_gathered's positions.
 
 Rotation convention
 -------------------
@@ -45,9 +50,9 @@ only accumulate their diagonal phase.  The matrix element 2 Omega together
 with t = theta / (2 Omega) is the unique pairing that makes a free pulse a
 theta rotation and reproduces the closed-form two-atom amplitudes.
 
-The kernel acts on an m-site prefix of the chain whenever the sites past m
-are all |0> (see :mod:`rydchain.protocols`): it receives m as ``n_sites``,
-the prefix as a strided view of the whole state
+The view kernel acts on an m-site prefix of the chain whenever the sites
+past m are all |0> (see :mod:`rydchain.protocols`): it receives m as
+``n_sites``, the prefix as a strided view of the whole state
 (:func:`rydchain.statekit.ground_tail`), which it writes in place, and the
 matching view of the diagonal, and never sees the untouched tail.
 The diagonal itself (:func:`interaction_diagonal`) is the quadratic form
@@ -263,13 +268,34 @@ def _none_rydberg(n_sites, local_dim):
     return ~(basis_digits(n_sites, local_dim) == RYDBERG).any(axis=1)
 
 
-def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int, phase=1):
-    """``phase`` times the theta rotation, in ``amp``; a blocked configuration
-    skips the rotation."""
+def _ideal_coefficients(n_sites, local_dim, step: PulseStep, radius: int, phase=1):
+    """Entries (u_lo, u_off, u_hi, u_idle) of ``phase`` times the theta
+    rotation, as :func:`_rotate_pairs` takes them; a blocked configuration
+    gets ``phase`` times the identity."""
     free = _free_of_blockade(n_sites, local_dim, step.site, radius)
     c = phase * np.where(free, np.cos(step.theta), 1.0)
     s = phase * np.where(free, np.sin(step.theta), 0.0)
-    _rotate_pairs(amp, n_sites, local_dim, step, c, s, c, phase)
+    return c, s, c, phase
+
+
+def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int, phase=1):
+    """``phase`` times the theta rotation, in ``amp``; a blocked configuration
+    skips the rotation."""
+    entries = _ideal_coefficients(n_sites, local_dim, step, radius, phase)
+    _rotate_pairs(amp, n_sites, local_dim, step, *entries)
+
+
+def _mix_gathered(amp, positions, mix):
+    """In ``amp``, mix each block's driven pair, read at ``positions`` (rows
+    lo, hi and, on three levels, the undriven level; one column per block),
+    by the block's 2x2 ``mix[:, :2]`` = [[u_lo, -u_off], [u_off, u_hi]]; on
+    three levels ``mix[0, 2]`` is the undriven level's factor u_idle.  One
+    take, one mixing expression and one put: the products and sums of
+    :func:`_rotate_pairs`, operand for operand, so the results agree bit for bit."""
+    a = amp.take(positions)
+    amp.put(positions[:2], mix[:, 0] * a[0] + mix[:, 1] * a[1])
+    if len(a) == 3:
+        amp.put(positions[2], a[2] * mix[0, 2])
 
 
 def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):

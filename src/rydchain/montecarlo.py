@@ -1,20 +1,26 @@
 """Disorder-averaged fidelity sweeps over interaction-strength grids.
 
 Each sweep cell (chain length, V0/Omega point) runs its realizations in
-blocks of max(1, BATCH_AMPLITUDES // d^n).  A block draws one quenched atom
-configuration per realization, each from its own positional seed, as one
-(R, n, 3) stack; builds the (R, n, n) couplings and checks them as one
-HamiltonianSpec; takes the (d^n, R) interaction diagonals in one product;
-runs each realization's pulses; and scores the (d^n, R) final states
-together.  One position sample is held fixed for the whole pulse sequence
-of a run.  The pulses run through one :func:`rydchain.protocols.execute`
-per realization, on that realization's column of diagonals: execute is the
-one way a pulse runs, its pulse kernel does not take a realization axis,
-and perfbench's traced run counts one execute per realization.  A
-disorder-free cell runs once: zero widths give the ideal chain whatever the
-seed.  Omega is 1 rad/us and V0 the grid ratio; fidelities depend on the
-ratio only.  Seeding is positional and the block size a constant, so
-results are independent of worker count and identical across reruns.
+blocks of max(1, BATCH_AMPLITUDES // d^n).  Once per block: the (R, 2)
+Philox keys of the realizations' positional seeds (one SeedSequence hash of
+the seed's prefix, :func:`rydchain.lattice.realization_keys`), one quenched
+atom configuration per realization as one (R, n, 3) stack, the (R, n, n)
+couplings checked as one HamiltonianSpec, the (d^n, R) interaction diagonals
+in one product, and the scores of the (d^n, R) final states.  Once per
+max(1, COEF_CHUNK // (d K)) realizations, K the plan's gathered blocks:
+the gathered pulses' 2x2 mixes (:func:`rydchain.protocols.gathered_mixes`),
+so when d K <= COEF_CHUNK one pass's (R, 2, d, K) mixes hold at most
+2 COEF_CHUNK complex entries, 128 KiB.  Once per realization: one
+:func:`rydchain.protocols.execute`, on that realization's column of
+diagonals and row of mixes, which runs only its pulse loop.
+execute is the one way a pulse runs, its pulse kernel does not take a
+realization axis, and perfbench's traced run counts one execute per
+realization.  One position sample is held fixed for the whole pulse
+sequence of a run.  A disorder-free cell runs once and hashes no seed: zero
+widths give the ideal chain whatever the seed.  Omega is 1 rad/us and V0
+the grid ratio; fidelities depend on the ratio only.  Seeding is
+positional and the block and pass sizes constants, so results are
+independent of worker count and identical across reruns.
 """
 
 from __future__ import annotations
@@ -32,11 +38,20 @@ from .lattice import (
     DisorderSpec,
     coupling_matrix,
     disorder_preset,
-    realization_seed,
+    realization_keys,
     sample_configuration,
     truncate_couplings,
 )
-from .protocols import ProtocolKind, ProtocolPlan, RealisticBackend, check_shape, execute, plan_for
+from .protocols import (
+    COEF_CHUNK,
+    ProtocolKind,
+    ProtocolPlan,
+    RealisticBackend,
+    check_shape,
+    execute,
+    gathered_mixes,
+    plan_for,
+)
 from .statekit import reduce_to_site, require_capacity
 from .targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure, ghz_target
 
@@ -74,6 +89,9 @@ class SweepSpec:
         if not self.grid or not self.n_list:
             raise ValueError("grid and n_list must each hold at least one value")
         object.__setattr__(self, "n_list", tuple(_integer(n, "each n_list entry") for n in self.n_list))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         if not np.all(np.isfinite(self.grid)):
             raise ValueError("grid values must be finite")
@@ -111,18 +129,34 @@ def _block(
     spec: SweepSpec, grid_index: int, indices: range, plan: ProtocolPlan, target: np.ndarray | None
 ) -> np.ndarray:
     """Fidelities of the realizations ``indices`` of one cell.  Every stage
-    but the pulses runs once over the block's stack: positions (R, n, 3),
-    couplings (R, n, n), one checked HamiltonianSpec, diagonals (d^n, R) and
-    the scores of the final states (d^n, R); the pulses run through one
-    ``execute`` per realization, on that realization's column of diagonals."""
+    but the pulses runs once over the block's stack: seed keys (R, 2),
+    positions (R, n, 3), couplings (R, n, n), one checked HamiltonianSpec,
+    diagonals (d^n, R) and the scores of the final states (d^n, R).  The
+    gathered pulses' mixes come from one pass per max(1, COEF_CHUNK // (d K))
+    realizations, K the plan's gathered blocks; the pulses run through one
+    ``execute`` per realization, on its column of diagonals and its row of mixes."""
     n, ratio = plan.n_sites, spec.grid[grid_index]
-    seeds = [realization_seed(spec.master_seed, n, grid_index, i) for i in indices]
-    configs = sample_configuration(n, R0_DEFAULT, spec.disorder, seeds)
+    runs = len(indices)
+    if spec.disorder.is_none:  # zero widths draw nothing, so no seed is hashed
+        keys = np.zeros((runs, 2), dtype=np.uint64)
+    else:
+        keys = realization_keys(spec.master_seed, n, grid_index, np.arange(indices.start, indices.stop))
+    configs = sample_configuration(n, R0_DEFAULT, spec.disorder, keys)
     couplings = coupling_matrix(configs, ratio, R0_DEFAULT)
     if spec.interaction_range is InteractionRange.NEAREST_NEIGHBOR:
         couplings = truncate_couplings(couplings, 1)
     energies = interaction_diagonal(HamiltonianSpec(couplings), plan.scheme.local_dim)
-    finals = [execute(plan, RealisticBackend(column, omega=1.0)) for column in energies.T]
+    blocks = len(plan.schedule.half_theta)
+    # twice these passes' mixes grew the heap past glibc's trim threshold and
+    # gave it back on every pass: some 2,100 more page faults per pass of
+    # perfbench's disorder-table workload, at no gain in speed
+    per_pass = max(1, COEF_CHUNK // (plan.scheme.local_dim * blocks)) if blocks else runs
+    finals = []
+    for start in range(0, runs, per_pass):
+        columns = energies[:, start : start + per_pass]
+        mixes = gathered_mixes(plan, columns, 1.0)
+        finals += [execute(plan, RealisticBackend(column, 1.0, mix))
+                   for column, mix in zip(columns.T, mixes)]
     # a block of one is a view of its state: no second state-sized array
     finals = finals[0][:, None] if len(finals) == 1 else np.stack(finals, axis=1)
     if target is None:

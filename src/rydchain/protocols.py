@@ -27,22 +27,27 @@ view, and the post-processing gates run on the whole array.
 
 What of this depends on the plan alone, its :class:`PulseSchedule`, is
 compiled on the first :func:`execute` and kept on the plan: each pulse's
-width m and the gathered pulses.  A pulse at width m drives d^(m-1) blocks
-(one per configuration of the other atoms), so pulses never drive fewer
-blocks than the ones before them; the leading pulses that drive at most
-:data:`COEF_CHUNK` blocks each are gathered.  On the realistic backend,
-their 2x2 block coefficients come from one pass over the realization's
-diagonal, read at positions the schedule holds; each pulse then only mixes
-its pairs.  A wider pulse reads its diagonal through views, so the schedule
-never holds a table that grows with d^n.
+width m, the gathered pulses and the post-processing gates' entries.  A
+pulse at width m drives d^(m-1) blocks (one per configuration of the other
+atoms), so pulses never drive fewer blocks than the ones before them; the
+leading pulses that drive at most :data:`COEF_CHUNK` blocks each are
+gathered, and the schedule holds the positions of their blocks' levels in
+the whole chain.  A wider pulse reads its diagonal through views, so the
+schedule never holds a table that grows with d^n.
 
 A :class:`RealisticBackend` holds one realization's basis energies (the
-diagonal of H over the whole chain) and Omega, not a Hamiltonian: a sweep
-checks a block's couplings and builds its diagonals once for the whole
-block (see :mod:`rydchain.montecarlo`), then runs :func:`execute` once per
-realization on one column of them.  execute runs one state: its per-site
-kernel has no realization axis yet, so a block's pulses stay one call per
-realization.
+diagonal of H over the whole chain) and Omega, not a Hamiltonian, and the
+realization's 2x2 mixes of the gathered pulses.  A sweep (see
+:mod:`rydchain.montecarlo`) checks a block's couplings and builds its
+diagonals once for the whole block, computes the mixes with one
+:func:`gathered_mixes` pass per group of at most COEF_CHUNK blocks' worth
+of realizations, and runs :func:`execute` once per realization.  So what
+runs once per realization is only its pulse loop: one take, one 2x2 mixing
+expression and one put per gathered pulse, a view kernel per wide pulse,
+and the post-processing gates with the schedule's constant entries.  A
+backend built without mixes gets them from the same pass over its one
+diagonal.  execute runs one state: its per-site kernel has no realization
+axis yet, so a block's pulses stay one call per realization.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ import numpy as np
 from .dynamics import (
     PulseStep,
     Transition,
+    _ideal_coefficients,
     _ideal_on_array,
+    _mix_gathered,
     _pulse_coefficients,
     _pulse_on_array,
     _rotate_pairs,
@@ -328,12 +335,15 @@ class RealisticBackend:
     """Exact pulsed evolution of one realization: ``energies`` is the diagonal
     of H over the whole chain's basis, as
     :func:`rydchain.dynamics.interaction_diagonal` gives it (one column of a
-    stack's), and ``omega`` the Rabi frequency.  The energies are read as
-    given: the :class:`rydchain.dynamics.HamiltonianSpec` they came from was
-    checked when it was built."""
+    stack's), and ``omega`` the Rabi frequency.  ``mixes`` is the
+    realization's row of :func:`gathered_mixes` for the plan it runs; a
+    backend without one has it computed by :func:`execute`.  The energies
+    are read as given: the :class:`rydchain.dynamics.HamiltonianSpec` they
+    came from was checked when it was built."""
 
     energies: np.ndarray
     omega: float
+    mixes: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
@@ -341,10 +351,10 @@ class RealisticBackend:
             raise ValueError("omega must be finite and positive")
 
 
-#: Most driven-pair configurations a pulse may drive and still have its block
-#: coefficients gathered with the schedule's other pulses; a pulse with more
-#: reads its diagonal through views.  A constant, so no result depends on the
-#: host.
+#: Most driven-pair configurations a pulse may drive and still be gathered;
+#: a pulse with more reads its diagonal and mixes its pairs through views.
+#: It also bounds the blocks of one :func:`gathered_mixes` pass.  A constant,
+#: so no result depends on the host.
 COEF_CHUNK = 4096
 
 
@@ -354,21 +364,26 @@ class PulseSchedule:
 
     ``widths`` holds each pulse's prefix width m, the highest site pulsed
     so far.  The pulses ``steps[:len(parts)]``, those driving at most
-    COEF_CHUNK blocks, are gathered: ``index`` holds the positions, in the
-    whole chain's diagonal, of each block's driven levels lo and hi and, on
-    three levels, its undriven one, one row per role and one column per
-    block, pulse after pulse in :func:`rydchain.dynamics._rotate_pairs`'
-    order.  ``half_theta``
-    (|theta|/2) and ``sign`` (sign(theta), +1 for theta = 0) repeat each
-    pulse's value over its blocks, and ``parts`` slices out each pulse's
-    blocks.  Every array is read-only.
+    COEF_CHUNK blocks, are gathered.  ``positions`` holds one contiguous
+    array per gathered pulse: the positions in the whole chain's basis of
+    each of its blocks' driven levels lo and hi and, on three levels, its
+    undriven one, one row per level and one column per block in
+    :func:`rydchain.dynamics._rotate_pairs`' order.  Pulse after pulse,
+    their K blocks are the columns of :func:`gathered_mixes`.
+    ``half_theta`` (|theta|/2) and ``sign`` (sign(theta), +1 for theta =
+    0) repeat each pulse's value over its blocks, and ``parts`` slices out
+    each pulse's blocks.  ``post`` holds each post-processing gate's
+    entries (phase cos theta, phase sin theta, phase cos theta, phase) as
+    :func:`rydchain.dynamics._rotate_pairs` takes them.  Every array is
+    read-only.
     """
 
     widths: tuple[int, ...]
-    index: np.ndarray
+    positions: tuple[np.ndarray, ...]
     half_theta: np.ndarray
     sign: np.ndarray
     parts: tuple[slice, ...]
+    post: tuple[tuple, ...]
 
 
 def _compile_schedule(plan: ProtocolPlan) -> PulseSchedule:
@@ -380,19 +395,46 @@ def _compile_schedule(plan: ProtocolPlan) -> PulseSchedule:
     steps = plan.steps[: len(per_block)]
     offsets = list(accumulate(per_block, initial=0))
     parts = tuple(map(slice, offsets[:-1], offsets[1:]))
-    index = [np.empty((dim, 0), dtype=np.intp)]  # so a plan of no pulses concatenates
+    positions = []
     for step, m in zip(steps, widths):
         roles = step.transition.levels + ((step.transition.idle_level,) if dim == 3 else ())
         # the prefix's positions in the chain, read through the layout helpers
         # (a range slices without allocating the whole chain)
         prefix = np.asarray(ground_tail(range(dim**n), n, dim, m))
-        index.append(level_rows(prefix, m, dim, step.site)[list(roles)])
-    index = np.concatenate(index, axis=1)
+        positions.append(level_rows(prefix, m, dim, step.site)[list(roles)])
     half_theta = np.repeat([abs(step.theta) / 2.0 for step in steps], per_block)
     sign = np.repeat([np.sign(step.theta) if step.theta else 1.0 for step in steps], per_block)
-    for table in (index, half_theta, sign):
+    post = tuple(_ideal_coefficients(n, dim, p, 0, 1j ** (p.phase_quarter_turns % 4))
+                 for p in plan.post_steps)
+    for table in (*positions, half_theta, sign):
         table.setflags(write=False)
-    return PulseSchedule(widths, index, half_theta, sign, parts)
+    return PulseSchedule(widths, tuple(positions), half_theta, sign, parts, post)
+
+
+def gathered_mixes(plan: ProtocolPlan, energies: np.ndarray, omega: float) -> np.ndarray:
+    """The 2x2 block mixes of the plan's gathered pulses for each column of a
+    (d^n, R) stack of diagonals, as an (R, 2, d, K) array: row r, block b is
+    [[u_lo, -u_off], [u_off, u_hi]] in its first two columns, and on three
+    levels a third column [u_idle, 0], as
+    :func:`rydchain.dynamics._mix_gathered` reads it.
+
+    One take along the basis axis and one
+    :func:`rydchain.dynamics._pulse_coefficients` call over (R, K); row r is
+    what realization r's :class:`RealisticBackend` carries into
+    :func:`execute`.
+    """
+    schedule = plan.schedule
+    dim = plan.scheme.local_dim
+    index = np.concatenate([np.empty((dim, 0), dtype=np.intp), *schedule.positions], axis=1)
+    rows = energies.T.take(index, axis=1)  # (R, roles, K)
+    t, drive = schedule.half_theta / omega, schedule.sign * (2.0 * omega)
+    u = _pulse_coefficients(rows[:, 0], rows[:, 1], rows[:, 2] if dim == 3 else None, t, drive)
+    mixes = np.zeros((len(rows), 2, dim, len(t)), dtype=np.complex128)
+    mixes[:, 0, 0], mixes[:, 1, 0], mixes[:, 1, 1] = u[0], u[1], u[2]
+    np.negative(u[1], out=mixes[:, 0, 1])
+    if dim == 3:
+        mixes[:, 0, 2] = u[3]
+    return mixes
 
 
 def execute(plan: ProtocolPlan, backend) -> np.ndarray:
@@ -410,10 +452,11 @@ def execute(plan: ProtocolPlan, backend) -> np.ndarray:
         e_tot = backend.energies
         if e_tot.shape != (size,):
             raise ValueError(f"{e_tot.shape} backend energies do not match the plan's {size}")
-        rows = e_tot.take(schedule.index)
-        t, drive = schedule.half_theta / backend.omega, schedule.sign * (2.0 * backend.omega)
-        coefficients = _pulse_coefficients(rows[0], rows[1], rows[2] if dim == 3 else None, t, drive)
-        del rows
+        mixes = backend.mixes
+        if mixes is None:  # a lone backend
+            mixes = gathered_mixes(plan, e_tot[:, None], backend.omega)[0]
+        if mixes.shape != (2, dim, len(schedule.half_theta)):
+            raise ValueError(f"{mixes.shape} backend mixes do not match the plan's schedule")
     elif not isinstance(backend, IdealBackend):
         raise TypeError(f"unknown backend {backend!r}")
     amp = np.zeros(size, dtype=np.complex128)
@@ -421,18 +464,17 @@ def execute(plan: ProtocolPlan, backend) -> np.ndarray:
         amp[0], amp[size // dim] = plan.alpha, plan.beta
     else:
         amp[0] = 1.0
-    gathered = len(schedule.parts)
-    for i, (step, m) in enumerate(zip(plan.steps, schedule.widths)):
+    gathered = len(schedule.parts) if realistic else 0
+    for positions, part in zip(schedule.positions[:gathered], schedule.parts):
+        _mix_gathered(amp, positions, mixes[:, :, part])
+    for step, m in zip(plan.steps[gathered:], schedule.widths[gathered:]):
         prefix = ground_tail(amp, n, dim, m)
-        if not realistic:
-            _ideal_on_array(prefix, m, dim, step, plan.blockade_range)
-        elif i < gathered:
-            part = schedule.parts[i]
-            _rotate_pairs(prefix, m, dim, step, *[u[part] for u in coefficients])
-        else:
+        if realistic:
             _pulse_on_array(prefix, m, dim, step, ground_tail(e_tot, n, dim, m), backend.omega)
-    for post in plan.post_steps:
-        _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
+        else:
+            _ideal_on_array(prefix, m, dim, step, plan.blockade_range)
+    for post, entries in zip(plan.post_steps, schedule.post):
+        _rotate_pairs(amp, n, dim, post, *entries)
     return check_norm(amp)
 
 

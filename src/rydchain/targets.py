@@ -9,7 +9,6 @@ from .statekit import (
     HYPERFINE,
     RYDBERG,
     LevelScheme,
-    basis_digits,
     encode_occupations,
     require_capacity,
 )
@@ -40,16 +39,27 @@ def ghz_target(n_sites: int, scheme: LevelScheme) -> np.ndarray:
 
 def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> np.ndarray:
     """Normalized sum of z^n over all configurations with no two excitations
-    within ``blockade_range`` sites; every forbidden amplitude is an exact zero."""
+    within ``blockade_range`` sites; every forbidden amplitude is an exact zero.
+
+    A two-level basis index x holds site k's occupation in bit n - k, so x
+    has two excitations d sites apart exactly when x & (x >> d) is nonzero,
+    and its excitation count is its number of set bits: no (2^n, n) table.
+    """
     if blockade_range < 1:
         raise ValueError("blockade_range must be >= 1")
-    dig = basis_digits(n_sites, 2)
-    occ = dig == RYDBERG
-    allowed = np.ones(2**n_sites, dtype=bool)
-    for d in range(1, blockade_range + 1):
-        if d < n_sites:
-            allowed &= ~(occ[:, :-d] & occ[:, d:]).any(axis=1)
-    n_exc = occ.sum(axis=1)
+    x = np.arange(require_capacity(n_sites, 2))
+    allowed = np.ones(len(x), dtype=bool)
+    shifted = np.empty_like(x)
+    for d in range(1, min(blockade_range, n_sites - 1) + 1):
+        np.right_shift(x, d, out=shifted)
+        shifted &= x
+        allowed &= shifted == 0
+    n_exc = np.zeros_like(x)
+    for k in range(n_sites):  # np.bitwise_count needs numpy >= 2
+        np.right_shift(x, k, out=shifted)
+        shifted &= 1
+        n_exc += shifted
+    del x, shifted  # freed before the complex state is allocated
     amp = np.where(allowed, np.float_power(float(z), n_exc), 0.0).astype(np.complex128)
     amp /= np.linalg.norm(amp)
     return amp

@@ -225,6 +225,25 @@ def interaction_energy_by_index(couplings, detuning, n_sites, local_dim):
     return out
 
 
+def dimer_target_by_digits(n_sites: int, z: float, blockade_range: int = 1) -> np.ndarray:
+    """Normalized sum of z^n over the configurations with no two excitations
+    within ``blockade_range`` sites, read from the (2^n, n) digit table.
+
+    Reference for :func:`rydchain.targets.dimer_target_direct`, which reads
+    the same configurations from the bits of the basis index; this is the
+    construction it replaced.
+    """
+    occ = basis_digits(n_sites, 2) == RYDBERG
+    allowed = np.ones(2**n_sites, dtype=bool)
+    for d in range(1, blockade_range + 1):
+        if d < n_sites:
+            allowed &= ~(occ[:, :-d] & occ[:, d:]).any(axis=1)
+    n_exc = occ.sum(axis=1)
+    amp = np.where(allowed, np.float_power(float(z), n_exc), 0.0).astype(np.complex128)
+    amp /= np.linalg.norm(amp)
+    return amp
+
+
 def dimer_target_mps(n_sites: int, z: float) -> np.ndarray:
     """Range-1 dimer state built by contracting the bond-2 tensor chain.
 

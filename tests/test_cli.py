@@ -211,6 +211,19 @@ class TestSweepCommand:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("disorder", ["none", "iso"])
+    def test_negative_seed_exits_2_before_any_cell_runs(self, tmp_path, capsys, monkeypatch, disorder):
+        calls = []
+        monkeypatch.setattr(montecarlo, "execute", lambda *args, **kwargs: calls.append(args))
+        code = run_cli(
+            "sweep", "--protocol", "ghz2", "--n", "2,4", "--grid", "6.9", "--disorder", disorder,
+            "--realizations", "2", "--seed", "-3", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_output_directory_exits_2_before_any_cell_runs(
         self, tmp_path, capsys, monkeypatch
     ):

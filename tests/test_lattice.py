@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rydchain.errors import GeometryError
 from rydchain.lattice import (
@@ -10,6 +12,7 @@ from rydchain.lattice import (
     coupling_matrix,
     disorder_preset,
     ideal_configuration,
+    realization_keys,
     realization_seed,
     sample_configuration,
     truncate_couplings,
@@ -79,12 +82,21 @@ class TestDisorder:
 
     @pytest.mark.parametrize("name", ["none", "iso", "aniso"])
     def test_list_of_seeds_stacks_each_seed_s_draw(self, name):
-        # row r of the stack is bit-identical to seed r drawn alone
-        seeds = [realization_seed(7, 5, 1, i) for i in range(4)]
-        stack = sample_configuration(5, 4.1, DISORDER_PRESETS[name], seeds)
+        # the stacked form takes (R, 2) Philox keys: row r of the stack is
+        # bit-identical to realization r's seed drawn alone
+        keys = realization_keys(7, 5, 1, np.arange(4))
+        stack = sample_configuration(5, 4.1, DISORDER_PRESETS[name], keys)
         assert stack.shape == (4, 5, 3)
-        for row, seed in zip(stack, seeds):
-            assert np.array_equal(row, sample_configuration(5, 4.1, DISORDER_PRESETS[name], seed))
+        for i, row in enumerate(stack):
+            alone = sample_configuration(5, 4.1, DISORDER_PRESETS[name], realization_seed(7, 5, 1, i))
+            assert np.array_equal(row, alone)
+
+    @pytest.mark.parametrize("keys", [
+        np.zeros((3, 2), dtype=np.int64), np.zeros((3, 3), dtype=np.uint64),
+    ], ids=["int64", "three-words"])
+    def test_stacked_keys_must_be_r_by_2_uint64(self, keys):
+        with pytest.raises(ValueError, match="uint64"):
+            sample_configuration(5, 4.1, DISORDER_PRESETS["iso"], keys)
 
     def test_sampled_variance_matches_widths(self):
         n, r0 = 50, 4.1
@@ -184,8 +196,8 @@ class TestCouplingMatrix:
 
 
 def test_stacks_couple_and_truncate_each_configuration():
-    seeds = [realization_seed(3, i) for i in range(4)]
-    configs = sample_configuration(6, 4.1, DISORDER_PRESETS["aniso"], seeds)
+    keys = realization_keys(3, 6, 0, range(4))
+    configs = sample_configuration(6, 4.1, DISORDER_PRESETS["aniso"], keys)
     V = coupling_matrix(configs, 6.9, 4.1)
     assert V.shape == (4, 6, 6)
     for stacked, truncated, config in zip(V, truncate_couplings(V, 1), configs):
@@ -203,3 +215,48 @@ def test_truncate_couplings():
     sep = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
     assert np.all(out[sep > 1] == 0)
     assert np.all(out[sep <= 1] == V[sep <= 1])
+
+
+class TestRealizationKeys:
+    """realization_keys against numpy's SeedSequence, its oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128]), st.integers(0, 2**130 - 1)),
+        st.integers(0, 40),
+        st.integers(0, 2**33),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12, unique=True),
+    )
+    @example(0, 2, 0, [0])
+    @example(2**32 - 1, 7, 1, [9, 3, 0, 2**32 - 1])
+    @example(2**128, 18, 5, [1, 0])
+    def test_rows_equal_seed_sequence_keys(self, master, n, grid_index, indices):
+        keys = realization_keys(master, n, grid_index, np.array(indices))
+        assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
+        for row, i in zip(keys, indices):
+            want = realization_seed(master, n, grid_index, i).generate_state(2, np.uint64)
+            assert np.array_equal(row, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**64),
+        st.integers(1, 12),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        st.sampled_from(["iso", "aniso"]),
+    )
+    def test_stacked_rows_equal_scalar_draws(self, master, n, indices, name):
+        keys = realization_keys(master, n, 3, np.array(indices))
+        stack = sample_configuration(n, 4.1, DISORDER_PRESETS[name], keys)
+        for row, i in zip(stack, indices):
+            seed = realization_seed(master, n, 3, i)
+            assert np.array_equal(row, sample_configuration(n, 4.1, DISORDER_PRESETS[name], seed))
+
+    def test_negative_master_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            realization_keys(-3, 4, 0, np.arange(2))
+
+    @pytest.mark.parametrize("indices", [[0, 2**32], [-1, 0]], ids=["2^32", "negative"])
+    def test_index_outside_one_word_raises(self, indices):
+        # SeedSequence would hash 2^32 as two words; the keys' rounds read one
+        with pytest.raises(ValueError, match="2\\^32"):
+            realization_keys(5, 4, 0, np.array(indices))

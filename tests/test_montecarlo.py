@@ -14,7 +14,7 @@ from rydchain.analytics import ghz_fidelity_two_atoms
 from rydchain.dynamics import InteractionRange
 from rydchain.lattice import DisorderSpec, disorder_preset
 from rydchain.montecarlo import BATCH_AMPLITUDES, SweepSpec, run_sweep
-from rydchain.protocols import ProtocolKind, plan_for
+from rydchain.protocols import COEF_CHUNK, ProtocolKind, plan_for
 
 
 def make_spec(**kw):
@@ -144,6 +144,33 @@ class TestRunSweep:
             run_sweep(make_spec(n_list=(3, 1), disorder=disorder_preset("iso")))
         assert execute_calls == []
 
+    @pytest.mark.parametrize("protocol,n,runs", [
+        (ProtocolKind.TRANSPORT, 7, 40),  # d K = 504: 8 realizations a pass
+        (ProtocolKind.GHZ2, 4, 100),  # d K = 30: one pass holds the block
+        (ProtocolKind.GHZ3, 5, 30),  # d K = 723: 5 realizations a pass
+        (ProtocolKind.GHZ2, 13, 3),  # d K = 16382 > COEF_CHUNK: one realization a pass
+    ])
+    def test_coefficient_pass_mixes_hold_at_most_2_coef_chunk_entries(
+        self, monkeypatch, protocol, n, runs
+    ):
+        # one pass's mixes hold at most 2 COEF_CHUNK complex entries, unless
+        # one realization's alone hold more
+        plan = plan_for(protocol, n)
+        row_entries = 2 * plan.scheme.local_dim * len(plan.schedule.half_theta)
+        widths = []
+        real = montecarlo.gathered_mixes
+
+        def recording_mixes(plan, energies, omega):
+            widths.append(energies.shape[1])
+            return real(plan, energies, omega)
+
+        monkeypatch.setattr(montecarlo, "gathered_mixes", recording_mixes)
+        run_sweep(make_spec(protocol=protocol, n_list=(n,), disorder=disorder_preset("iso"),
+                            realizations=runs))
+        per_pass = max(1, 2 * COEF_CHUNK // row_entries)
+        assert widths == [per_pass] * (runs // per_pass) + [runs % per_pass] * (runs % per_pass > 0)
+        assert max(widths) * row_entries <= max(row_entries, 2 * COEF_CHUNK)
+
     def test_realization_warnings_reach_the_caller(self, monkeypatch):
         real = montecarlo.fidelity_pure
 
@@ -199,6 +226,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="integer"):
             make_spec(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-3, True, 2.0, "7"], ids=["negative", "true", "float", "str"])
+    def test_master_seed_must_be_a_non_negative_integer(self, seed):
+        # -3 once failed only inside numpy's SeedSequence, in the first
+        # disordered cell; a disorder-free cell hashes no seed at all
+        with pytest.raises(ValueError, match="master_seed"):
+            make_spec(master_seed=seed)
+
     def test_numpy_integer_counts_become_ints(self):
         spec = make_spec(n_list=(np.int64(3),), realizations=np.int32(4))
         assert spec.n_list == (3,) and spec.realizations == 4
@@ -227,6 +261,9 @@ class TestRunSweep:
 # B = 2^16 // 2^14 = 4 realizations per block, so R = 5 runs a block of 4 and one of 1
 @example(ProtocolKind.GHZ2, 14, 6.9, "aniso", InteractionRange.FULL, 5, BATCH_AMPLITUDES)
 @example(ProtocolKind.TRANSPORT, 3, 15.5, "iso", InteractionRange.NEAREST_NEIGHBOR, 6, 16)
+# transport N = 7 gathers K = 252 blocks, so its block of 40 takes
+# COEF_CHUNK // (2 * 252) = 8 realizations per coefficient pass: 5 passes
+@example(ProtocolKind.TRANSPORT, 7, 6.9, "aniso", InteractionRange.FULL, 40, BATCH_AMPLITUDES)
 def test_blocks_equal_the_per_realization_loop(
     protocol, n, ratio, disorder, interaction_range, runs, amplitudes
 ):

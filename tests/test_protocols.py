@@ -15,9 +15,16 @@ from rydchain.dynamics import (
     PulseStep,
     Transition,
     build_full_hamiltonian,
+    interaction_diagonal,
 )
 from rydchain.errors import CapacityError, NumericalError
-from rydchain.lattice import R0_DEFAULT, coupling_matrix, disorder_preset, sample_configuration
+from rydchain.lattice import (
+    R0_DEFAULT,
+    coupling_matrix,
+    disorder_preset,
+    realization_keys,
+    sample_configuration,
+)
 from rydchain.protocols import (
     COEF_CHUNK,
     HyperfinePolicy,
@@ -27,6 +34,7 @@ from rydchain.protocols import (
     ProtocolPlan,
     RealisticBackend,
     execute,
+    gathered_mixes,
     mps_area_schedule,
     mps_area_schedule_polynomial,
     plan_dimer_mps,
@@ -511,11 +519,16 @@ class TestSchedule:
         assert [part.start for part in parts] == [0] + [part.stop for part in parts[:-1]]
         assert [part.stop - part.start for part in parts] == blocks[:gathered]
         total = parts[-1].stop
-        # one row per level: lo and hi, and on three levels the undriven one
-        assert schedule.index.shape == (dim, total)
+        # one contiguous array per gathered pulse, one row per level (lo and
+        # hi, and on three levels the undriven one) and one column per block
+        positions = schedule.positions
+        assert [p.shape for p in positions] == [(dim, part.stop - part.start) for part in parts]
+        assert all(p.dtype == np.intp and p.flags.c_contiguous for p in positions)
         assert schedule.half_theta.shape == schedule.sign.shape == (total,)
-        arrays = [v for v in vars(schedule).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
+        # one set of post-processing entries per post-step, as plan constants
+        assert len(schedule.post) == len(plan.post_steps)
+        arrays = schedule_arrays(schedule)
+        assert len(arrays) == gathered + 2 and not any(a.flags.writeable for a in arrays)
 
     def test_execute_returns_its_own_array(self):
         # with no pulse the final state is the initial one: each run must
@@ -531,8 +544,66 @@ class TestSchedule:
         # 2^18-entry diagonal alone would be 512 COEF_CHUNK bytes
         plan = plan_ghz(18, TWO)
         execute(plan, realistic_backend(chain_hamiltonian(18, 15.5), 1.0))
-        arrays = [v for v in vars(plan.schedule).values() if isinstance(v, np.ndarray)]
-        assert 0 < sum(a.nbytes for a in arrays) <= 128 * COEF_CHUNK
+        assert 0 < sum(a.nbytes for a in schedule_arrays(plan.schedule)) <= 128 * COEF_CHUNK
+
+    @pytest.mark.parametrize("name", ["ghz3-8", "transport-13"])
+    def test_gathered_pulses_skip_the_view_kernels(self, name, monkeypatch):
+        # every pulse of these plans is gathered: the view kernels run only
+        # the post-processing gates
+        plan = self.PLANS[name]()
+        assert len(plan.schedule.parts) == len(plan.steps)
+        calls = {"_rotate_pairs": 0, "_pulse_on_array": 0}
+        for kernel in calls:
+            real = getattr(protocols, kernel)
+
+            def counting(*args, _real=real, _kernel=kernel):
+                calls[_kernel] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(protocols, kernel, counting)
+        hamiltonian = chain_hamiltonian(plan.n_sites, 6.9)
+        execute(plan, realistic_backend(hamiltonian, 1.0, plan.scheme))
+        assert calls == {"_rotate_pairs": len(plan.post_steps), "_pulse_on_array": 0}
+        # the wide pulses of a straddling plan keep the view kernel
+        plan = self.PLANS["transport-14"]()
+        execute(plan, realistic_backend(chain_hamiltonian(14, 6.9), 1.0))
+        wide = len(plan.steps) - len(plan.schedule.parts)
+        assert calls["_pulse_on_array"] == wide > 0
+
+    @pytest.mark.parametrize("name", ["mps-14", "ghz3-8"])
+    def test_stacked_mixes_equal_each_lone_backend(self, name):
+        # one pass over R diagonals gives each realization the row a lone
+        # backend computes for itself, bit for bit, and the same final state
+        plan = self.PLANS[name]()
+        n, dim = plan.n_sites, plan.scheme.local_dim
+        keys = realization_keys(5, n, 0, range(3))
+        configs = sample_configuration(n, R0_DEFAULT, disorder_preset("aniso"), keys)
+        energies = interaction_diagonal(HamiltonianSpec(coupling_matrix(configs, 6.9, R0_DEFAULT)), dim)
+        mixes = gathered_mixes(plan, energies, 1.0)
+        assert mixes.shape == (3, 2, dim, plan.schedule.parts[-1].stop)
+        for column, row in zip(energies.T, mixes):
+            assert np.array_equal(row, gathered_mixes(plan, column[:, None], 1.0)[0])
+            lone = execute(plan, RealisticBackend(column, 1.0))
+            assert np.array_equal(execute(plan, RealisticBackend(column, 1.0, row)), lone)
+
+    def test_mixes_of_another_schedule_raise(self):
+        plan, other = plan_ghz(4, TWO), plan_transport(4, 0.6, 0.8)
+        energies = realistic_backend(chain_hamiltonian(4, 6.9), 1.0).energies
+        row = gathered_mixes(other, energies[:, None], 1.0)[0]
+        with pytest.raises(ValueError, match="backend mixes"):
+            execute(plan, RealisticBackend(energies, 1.0, row))
+
+
+def schedule_arrays(schedule) -> list[np.ndarray]:
+    """Every array a schedule holds, including those inside its tuples."""
+    arrays, pending = [], list(vars(schedule).values())
+    while pending:
+        value = pending.pop()
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, tuple):
+            pending.extend(value)
+    return arrays
 
 
 class TestDuration:

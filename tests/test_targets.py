@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import chain_hamiltonian, random_state, realistic_backend
-from oracles import dimer_target_mps
+from oracles import dimer_target_by_digits, dimer_target_mps
 from rydchain.analytics import two_atom_coefficients
 from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import execute, plan_transport
@@ -91,6 +92,25 @@ class TestDimerDirect:
         assert t[0b000].real > 0
         assert t[0b100].real < 0
         assert t[0b101].real > 0
+
+    @pytest.mark.parametrize("z", [-3.0, -0.4, 0.0, 1.0, 7.5])
+    @pytest.mark.parametrize("blockade_range", [1, 2, 3])
+    def test_bits_equal_the_digit_table(self, blockade_range, z):
+        for n in range(1, 15):
+            want = dimer_target_by_digits(n, z, blockade_range)
+            got = dimer_target_direct(n, z, blockade_range)
+            assert got.tobytes() == want.tobytes(), n
+
+    def test_memory_is_a_few_state_sized_arrays(self):
+        # the (2^18, 18) int64 digit table alone took 37.7 MB
+        basis_digits.cache_clear()
+        tracemalloc.start()
+        try:
+            amp = dimer_target_direct(18, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * amp.nbytes  # 16.8 MB; the state itself is 4.2 MB
 
 
 class TestDimerMps:

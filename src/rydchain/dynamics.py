@@ -4,21 +4,26 @@ Two kernels write the driven pairs, with the same products and sums: for
 each frozen configuration of the other atoms they mix the two driven levels
 of the addressed atom by a 2x2 matrix [[u_lo, -u_off], [u_off, u_hi]] of
 complex entries, and on a three-level chain multiply the undriven level by
-u_idle.  :func:`_rotate_pairs` works on views of the state; the ideal gate
-and the post-processing gates pass it phase * cos and phase * sin (and
-u_idle = phase), and a wide realistic pulse (:func:`_pulse_on_array`) its
-entries from :func:`_pulse_coefficients`.  :func:`_mix_gathered` mixes a
-gathered realistic pulse's pairs read at precompiled positions.
-_pulse_coefficients works elementwise over blocks, so
-:func:`rydchain.protocols.gathered_mixes` computes the entries of all of a
-plan's gathered pulses, for a group of realizations, in one pass, and
-_pulse_on_array is its one-pulse case.  The kernels act on raw amplitude
-arrays and run only through :func:`rydchain.protocols.execute`, whose plan
-has checked every site, transition and the blockade range when it was
-built.  _rotate_pairs addresses one atom through
-:func:`rydchain.statekit.site_view` and :func:`rydchain.statekit.level_rows`,
-the one home of the basis layout, from which the plan's schedule also
-compiles _mix_gathered's positions.
+u_idle.  :func:`_rotate_pairs` works on the (pre, d, post) view of the state
+(:func:`rydchain.statekit.site_view`, the one home of the basis layout) and
+mixes its rows in slices of max(1, COEF_CHUNK // post), writing each slice
+back in place; each slice asks for its own entries, so no temporary
+outgrows :data:`COEF_CHUNK` blocks.  The ideal gate builds a slice's
+entries, phase * cos and phase * sin, from the same slice of its blockade
+mask, read off the two neighbor windows; a wide realistic pulse
+(:func:`_pulse_on_array`) builds them with :func:`_pulse_coefficients` from
+the same slice of the diagonal's site view, and the post-processing gates
+pass constants (on at most COEF_CHUNK blocks, :func:`_rotate_whole` mixes
+the whole view at once).  When the schedule knows that one driven level
+is still exactly empty, a slice computes two products and no sums.
+:func:`_mix_gathered` mixes a gathered realistic pulse's pairs read at
+precompiled positions.  _pulse_coefficients works elementwise over blocks,
+so :func:`rydchain.protocols.gathered_mixes` computes the entries of all of
+a plan's gathered pulses, for a group of realizations, in one pass.  The
+kernels act on raw amplitude arrays and run only through
+:func:`rydchain.protocols.execute`, whose plan has checked every site,
+transition and the blockade range when it was built, and whose schedule
+compiles the gathered positions from the same layout helpers.
 
 Rotation convention
 -------------------
@@ -69,7 +74,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NumericalError
-from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits, level_rows, site_view
+from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits, site_view
 
 PI_HALF = np.pi / 2
 PI_QUARTER = np.pi / 4
@@ -226,41 +231,109 @@ def _half_tables(n_sites: int, local_dim: int):
 # ---------------------------------------------------------------------------
 # the per-site kernel on the (pre, level, post) view of statekit.site_view
 
-def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, u_lo, u_off, u_hi, u_idle=None):
+#: Most blocks one kernel step holds: the view kernel mixes a site view
+#: max(1, COEF_CHUNK // post) rows at a time, and a pulse that drives at most
+#: this many blocks is gathered (:mod:`rydchain.protocols`).  A constant, so
+#: no result depends on the host.
+COEF_CHUNK = 4096
+
+
+def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, entries, empty=None):
     """In ``amp``, for every frozen configuration of the other atoms, mix the
-    pair that ``step`` drives by [[u_lo, -u_off], [u_off, u_hi]] (scalars or
-    flat arrays over those configurations); a three-level chain multiplies
-    its undriven level by ``u_idle``."""
+    pair that ``step`` drives by [[u_lo, -u_off], [u_off, u_hi]]; a
+    three-level chain multiplies its undriven level by u_idle.
+
+    The (pre, d, post) view of ``amp`` is mixed in place,
+    max(1, COEF_CHUNK // post) rows at a time: ``entries(rows)`` gives
+    (u_lo, u_off, u_hi[, u_idle]) for the view's rows ``rows``, each a scalar
+    or a (rows, post) array, so no temporary outgrows COEF_CHUNK blocks (or
+    one row, where a row is longer; or one block more, where a lone last
+    row joins its slice).  Every operation is elementwise, so the result
+    does not depend on the slicing, bit for bit.
+
+    When ``empty`` is the driven level hi or lo, that level holds only
+    zeros: each slice computes two products and no sums, and u_hi, or u_lo,
+    goes unused.  The skipped products are signed zeros, so every nonzero
+    component comes out as from the four products, bit for bit; a zero
+    component (of a pair zero on both levels, or from an entry or amplitude
+    with a zero part) may come out with the other sign.
+    :mod:`rydchain.protocols` passes ``empty`` only where no pair is zero by
+    construction and theta is nonzero.
+    """
     lo, hi = step.transition.levels
     view = site_view(amp, n_sites, local_dim, step.site)
-    # level-major rows, row k = level k in basis order: ufuncs cost more per
-    # call on the strided 2-D slices of the view than on one flat block
-    a_rows = level_rows(amp, n_sites, local_dim, step.site)
-    a_lo, a_hi = a_rows[lo], a_rows[hi]
-    # both rows are computed before either is written: on the first and last
-    # site a_rows is a view of amp, so a row written first would change the
-    # input of the other
-    new_lo = u_lo * a_lo - u_off * a_hi
-    new_hi = u_off * a_lo + u_hi * a_hi
-    view[:, lo] = new_lo.reshape(len(view), -1)
-    view[:, hi] = new_hi.reshape(len(view), -1)
-    if local_dim == 3:
-        idle = step.transition.idle_level
-        view[:, idle] = (a_rows[idle] * u_idle).reshape(len(view), -1)
+    pre, _, post = view.shape
+    # numpy takes its reduction loop for an in-place complex product on one
+    # element, and rounds it differently (_pulse_coefficients' u *= phase):
+    # no slice holds a lone element unless the whole view does
+    size = max(1, COEF_CHUNK // post, 2 // post)
+    stops = [*range(size, pre, size), pre]
+    if post == 1 and len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]  # the lone last row joins the slice before it
+    for start, stop in zip([0, *stops], stops):
+        rows = slice(start, stop)
+        u = entries(rows)
+        if post == 1 or stop - start == size > post:
+            # ufuncs run faster down a slice's columns, each a strided run
+            # of rows, than over its (rows, post) block, once the rows fill
+            # the slice or there is one column
+            for col in range(post):
+                column = [x[:, col] if np.ndim(x) else x for x in u]
+                _mix_block(view[rows, :, col], step.transition, *column, empty=empty)
+        else:  # a shorter slice is mixed whole, in fewer calls
+            _mix_block(view[rows], step.transition, *u, empty=empty)
+
+
+def _mix_block(block, transition: Transition, u_lo, u_off, u_hi, u_idle=None, empty=None):
+    """In ``block`` (rows, d[, post]), the pairs ``transition`` drives mixed
+    by [[u_lo, -u_off], [u_off, u_hi]] and, on three levels, the undriven
+    level multiplied by ``u_idle``; ``empty`` as for :func:`_rotate_pairs`."""
+    lo, hi = transition.levels
+    a_lo, a_hi = block[:, lo], block[:, hi]
+    # every result goes to a new array first: numpy's complex product can
+    # round differently when its output overlaps an input
+    if empty == hi:
+        block[:, lo], block[:, hi] = u_lo * a_lo, u_off * a_lo
+    elif empty == lo:
+        block[:, lo], block[:, hi] = -(u_off * a_hi), u_hi * a_hi
+    else:
+        block[:, lo], block[:, hi] = _mixed(a_lo, a_hi, u_lo, u_off, u_hi)
+    if block.shape[1] == 3:
+        idle = transition.idle_level
+        block[:, idle] = block[:, idle] * u_idle
+
+
+def _mixed(a_lo, a_hi, u_lo, u_off, u_hi):
+    """The pair (a_lo, a_hi) mixed by [[u_lo, -u_off], [u_off, u_hi]], as two
+    new arrays: both are computed before either input is overwritten."""
+    return u_lo * a_lo - u_off * a_hi, u_off * a_lo + u_hi * a_hi
+
+
+def _rotate_whole(amp, n_sites, local_dim, step: PulseStep, u_lo, u_off, u_hi, u_idle=None):
+    """In ``amp``, :func:`_rotate_pairs`' mix by scalar entries of a site
+    view of at most COEF_CHUNK blocks, in one shot and without its slicing:
+    the same products and sums, so the results agree bit for bit."""
+    view = site_view(amp, n_sites, local_dim, step.site)
+    if view.shape[2] == 1:
+        view = view[:, :, 0]  # one strided run per level
+    _mix_block(view, step.transition, u_lo, u_off, u_hi, u_idle)
 
 
 def _free_of_blockade(n_sites, local_dim, site, radius):
-    """Flat mask over the other atoms' configurations, True where no neighbor
-    within ``radius`` of ``site`` is Rydberg; True when no neighbor lies that close.
-    Built from the two neighbor windows alone, never from a whole-chain table."""
+    """Mask over the other atoms' configurations, True where no neighbor
+    within ``radius`` of ``site`` is Rydberg, as a function of the site
+    view's rows: ``free(rows)`` is their (rows, post) slice, or True when
+    no neighbor lies that close.  Built from the two neighbor windows alone,
+    never from a whole-chain table."""
     left, right = min(radius, site - 1), min(radius, n_sites - site)
     if left + right == 0:
-        return True
-    # site 1 is the most significant digit: the left window is the last digits of
-    # the configurations before the site, the right window the first digits after it
-    before = np.tile(_none_rydberg(left, local_dim), local_dim ** (site - 1 - left))
+        return lambda rows: True
+    # site 1 is the most significant digit: the left window is the last
+    # digits of a row, so its mask repeats along the rows with period
+    # d^left, and the right window is the first digits of a column
+    before = _none_rydberg(left, local_dim)
     after = np.repeat(_none_rydberg(right, local_dim), local_dim ** (n_sites - site - right))
-    return (before[:, None] & after).reshape(-1)
+    return lambda rows: before[np.arange(rows.start, rows.stop) % len(before), None] & after
 
 
 def _none_rydberg(n_sites, local_dim):
@@ -268,11 +341,10 @@ def _none_rydberg(n_sites, local_dim):
     return ~(basis_digits(n_sites, local_dim) == RYDBERG).any(axis=1)
 
 
-def _ideal_coefficients(n_sites, local_dim, step: PulseStep, radius: int, phase=1):
+def _ideal_coefficients(step: PulseStep, phase=1, free=True):
     """Entries (u_lo, u_off, u_hi, u_idle) of ``phase`` times the theta
-    rotation, as :func:`_rotate_pairs` takes them; a blocked configuration
-    gets ``phase`` times the identity."""
-    free = _free_of_blockade(n_sites, local_dim, step.site, radius)
+    rotation, as :func:`_rotate_pairs` takes them, where ``free`` holds; a
+    blocked configuration gets ``phase`` times the identity."""
     c = phase * np.where(free, np.cos(step.theta), 1.0)
     s = phase * np.where(free, np.sin(step.theta), 0.0)
     return c, s, c, phase
@@ -281,8 +353,9 @@ def _ideal_coefficients(n_sites, local_dim, step: PulseStep, radius: int, phase=
 def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int, phase=1):
     """``phase`` times the theta rotation, in ``amp``; a blocked configuration
     skips the rotation."""
-    entries = _ideal_coefficients(n_sites, local_dim, step, radius, phase)
-    _rotate_pairs(amp, n_sites, local_dim, step, *entries)
+    free = _free_of_blockade(n_sites, local_dim, step.site, radius)
+    _rotate_pairs(amp, n_sites, local_dim, step,
+                  lambda rows: _ideal_coefficients(step, phase, free(rows)))
 
 
 def _mix_gathered(amp, positions, mix):
@@ -298,7 +371,7 @@ def _mix_gathered(amp, positions, mix):
         amp.put(positions[2], a[2] * mix[0, 2])
 
 
-def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
+def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive, unused=None):
     """Entries (u_lo, u_off, u_hi[, u_idle]) of each closed 2x2 block's
     evolution for a time t under the drive 2 Omega sign(theta) (``drive``),
     as :func:`_rotate_pairs` takes them.
@@ -312,7 +385,9 @@ def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
 
     and the undriven level by exp(-i d_idle t).  Elementwise over the blocks,
     so t and drive are scalars for one pulse or arrays over many pulses' blocks;
-    the entries are built in place, three complex arrays in all.
+    the entries are built in place, three complex arrays in all.  ``unused``,
+    0 or 1, skips u_lo or u_hi (None in its place): the entry a pulse whose
+    driven level lo or hi is empty never reads.
     """
     w = np.subtract(d_hi, d_lo)
     w *= 0.5
@@ -327,11 +402,12 @@ def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
     phase = np.multiply(arg, -1j)
     np.exp(phase, out=phase)
     w *= s  # w s
-    u_lo = np.multiply(w, 1j)
-    u_hi = np.subtract(c, u_lo)
-    u_lo += c
-    u_lo *= phase
-    u_hi *= phase
+    iws = np.multiply(w, 1j)
+    u_hi = None if unused == 1 else np.subtract(c, iws, out=iws if unused == 0 else None)
+    u_lo = None if unused == 0 else np.add(iws, c, out=iws)
+    for u in (u_lo, u_hi):
+        if u is not None:
+            u *= phase
     s *= drive  # drive s
     u_off = np.multiply(phase, s, out=phase)
     if d_idle is None:
@@ -340,17 +416,24 @@ def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
     return u_lo, u_off, u_hi, np.exp(u_idle, out=u_idle)
 
 
-def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
+def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega, empty=None):
     """Exact evolution of each closed 2x2 block for t = |theta| / (2 omega),
-    in ``amp``: the one-pulse case of :func:`_pulse_coefficients`."""
+    in ``amp``: the one-pulse case of :func:`_pulse_coefficients`, computed
+    slice by slice of :func:`_rotate_pairs` from the same rows of the
+    diagonal's site view.  ``empty`` as for _rotate_pairs."""
     lo, hi = step.transition.levels
     t = abs(step.theta) / (2.0 * omega)
     drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
-    e_rows = level_rows(e_tot, n_sites, local_dim, step.site)
-    idle = e_rows[step.transition.idle_level] if local_dim == 3 else None
-    coefficients = _pulse_coefficients(e_rows[lo], e_rows[hi], idle, t, drive)
-    del e_rows, idle  # the diagonal rows are not needed while the pairs mix
-    _rotate_pairs(amp, n_sites, local_dim, step, *coefficients)
+    e_view = site_view(e_tot, n_sites, local_dim, step.site)
+    idle = step.transition.idle_level if local_dim == 3 else None
+    unused = {lo: 0, hi: 1}.get(empty)
+
+    def entries(rows):
+        e = e_view[rows]
+        d_idle = None if idle is None else e[:, idle]
+        return _pulse_coefficients(e[:, lo], e[:, hi], d_idle, t, drive, unused)
+
+    _rotate_pairs(amp, n_sites, local_dim, step, entries, empty)
 
 
 # ---------------------------------------------------------------------------

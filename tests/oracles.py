@@ -9,6 +9,7 @@ from rydchain.dynamics import (
     HamiltonianSpec,
     InteractionRange,
     _ideal_on_array,
+    _pulse_coefficients,
     _pulse_on_array,
     build_full_hamiltonian,
     ground_state_dense,
@@ -21,7 +22,9 @@ from rydchain.lattice import (
 )
 from rydchain.montecarlo import SweepRecord, _target_state
 from rydchain.protocols import ProtocolKind, RealisticBackend, execute
-from rydchain.statekit import GROUND, RYDBERG, basis_digits, check_norm, reduce_to_site
+from rydchain.statekit import (
+    GROUND, RYDBERG, basis_digits, check_norm, level_rows, reduce_to_site, site_view,
+)
 from rydchain.targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure
 
 
@@ -47,6 +50,60 @@ def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
     for post in plan.post_steps:
         _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
     return check_norm(amp)
+
+
+def rotate_pairs_once(amp, n_sites, local_dim, step, u_lo, u_off, u_hi, u_idle=None):
+    """In ``amp``, the driven pairs of ``step`` mixed by [[u_lo, -u_off],
+    [u_off, u_hi]] (scalars or flat arrays over the other atoms'
+    configurations) in one shot, with all four products; on three levels the
+    undriven level is multiplied by ``u_idle``.
+
+    Reference for the sliced :func:`rydchain.dynamics._rotate_pairs`: the
+    rows are read through one level-major copy (``level_rows``) and written
+    back whole, so every temporary is as long as the prefix.
+    """
+    lo, hi = step.transition.levels
+    view = site_view(amp, n_sites, local_dim, step.site)
+    a_rows = level_rows(amp, n_sites, local_dim, step.site)
+    a_lo, a_hi = a_rows[lo], a_rows[hi]
+    # both rows are computed before either is written: on the first and last
+    # site a_rows is a view of amp
+    new_lo = u_lo * a_lo - u_off * a_hi
+    new_hi = u_off * a_lo + u_hi * a_hi
+    view[:, lo] = new_lo.reshape(len(view), -1)
+    view[:, hi] = new_hi.reshape(len(view), -1)
+    if local_dim == 3:
+        idle = step.transition.idle_level
+        view[:, idle] = (a_rows[idle] * u_idle).reshape(len(view), -1)
+
+
+def pulse_on_array_once(amp, n_sites, local_dim, step, e_tot, omega):
+    """Exact evolution of each closed 2x2 block for t = |theta| / (2 omega),
+    in ``amp``, with every block's entries computed at once from the
+    diagonal's level-major rows: reference for the sliced
+    :func:`rydchain.dynamics._pulse_on_array`."""
+    lo, hi = step.transition.levels
+    t = abs(step.theta) / (2.0 * omega)
+    drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
+    e_rows = level_rows(e_tot, n_sites, local_dim, step.site)
+    idle = e_rows[step.transition.idle_level] if local_dim == 3 else None
+    coefficients = _pulse_coefficients(e_rows[lo], e_rows[hi], idle, t, drive)
+    rotate_pairs_once(amp, n_sites, local_dim, step, *coefficients)
+
+
+def ideal_on_array_once(amp, n_sites, local_dim, step, radius, phase=1):
+    """``phase`` times the ideal constrained rotation, in ``amp``, from one
+    flat blockade mask over all the other atoms' configurations: reference
+    for the sliced :func:`rydchain.dynamics._ideal_on_array`."""
+    site = step.site
+    left, right = min(radius, site - 1), min(radius, n_sites - site)
+    none_rydberg = [~(basis_digits(k, local_dim) == RYDBERG).any(axis=1) for k in (left, right)]
+    before = np.tile(none_rydberg[0], local_dim ** (site - 1 - left))
+    after = np.repeat(none_rydberg[1], local_dim ** (n_sites - site - right))
+    free = (before[:, None] & after).reshape(-1)
+    c = phase * np.where(free, np.cos(step.theta), 1.0)
+    s = phase * np.where(free, np.sin(step.theta), 0.0)
+    rotate_pairs_once(amp, n_sites, local_dim, step, c, s, c, phase)
 
 
 def sweep_cell_by_loop(spec, plan, grid_index) -> SweepRecord:

@@ -2,15 +2,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, random_state, run_ideal, run_realistic
-from oracles import build_effective_hamiltonian
+from oracles import (
+    build_effective_hamiltonian, ideal_on_array_once, pulse_on_array_once, rotate_pairs_once,
+)
+from rydchain import dynamics
 from rydchain.dynamics import (
     HamiltonianSpec,
     InteractionRange,
     PulseStep,
     Transition,
+    _ideal_on_array,
+    _pulse_on_array,
     _rotate_pairs,
     build_full_hamiltonian,
     ground_state_dense,
@@ -243,8 +250,10 @@ class TestInPlaceKernel:
         configs = d ** (m - 1)
         coefficients = [rng.normal(size=configs) + 1j * rng.normal(size=configs) for _ in range(4)]
         used = coefficients[: 3 + (d == 3)]  # u_idle on three levels only
-        _rotate_pairs(prefix, m, d, step, *used)
-        _rotate_pairs(contiguous, m, d, step, *used)
+        pre = d ** (site - 1)
+        entries = lambda rows: [u.reshape(pre, -1)[rows] for u in used]  # noqa: E731
+        _rotate_pairs(prefix, m, d, step, entries)
+        _rotate_pairs(contiguous, m, d, step, entries)
         assert prefix.tobytes() == contiguous.tobytes()
         # the same products, level by level, from the untouched input
         v = site_view(ground_tail(before, n, d, m), m, d, site)
@@ -260,6 +269,90 @@ class TestInPlaceKernel:
         outside = np.ones(d**n, bool)
         outside[:: d ** (n - m)] = False
         assert buf[outside].tobytes() == before[outside].tobytes()
+
+
+@st.composite
+def kernel_cases(draw):
+    """A pulse on an m-site chain of d levels, the driven level (if any) that
+    is empty, and a slice bound small enough for ragged last slices and for
+    rows longer than the bound (post > bound)."""
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 7 if d == 2 else 5))
+    site = draw(st.integers(1, m))
+    transition = draw(st.sampled_from(list(Transition) if d == 3 else [G_R]))
+    theta = draw(st.floats(-np.pi, np.pi))
+    empty = draw(st.sampled_from([None, *transition.levels]))
+    bound = draw(st.sampled_from([1, 3, 7]))
+    return d, m, PulseStep(site, transition, theta), empty, bound, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_same_bits(result, expected, empty):
+    """Bit for bit; with an empty level, only a zero component may come out
+    with the other sign (the two skipped products are signed zeros, which
+    decide the sign of a zero sum)."""
+    assert np.array_equal(result, expected)
+    differ = result.view(np.uint64) != expected.view(np.uint64)
+    assert not differ.any() or (empty is not None and not expected.view(float)[differ].any())
+
+
+class TestSlicedKernel:
+    """The view kernel, slice by slice, against the one-shot four-product reference."""
+
+    @staticmethod
+    def state(rng, d, m, step, empty):
+        """A random state whose ``empty`` level of the addressed atom holds +0."""
+        amp = random_state(rng, d**m)
+        if empty is not None:
+            site_view(amp, m, d, step.site)[:, empty] = 0.0
+        return amp
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_sliced_entries_equal_the_one_shot_mix(self, case):
+        d, m, step, empty, bound, seed = case
+        rng = np.random.default_rng(seed)
+        amp = self.state(rng, d, m, step, empty)
+        pre = d ** (step.site - 1)
+        entries = [rng.normal(size=d ** (m - 1)) + 1j * rng.normal(size=d ** (m - 1))
+                   for _ in range(3 + (d == 3))]
+        expected = amp.copy()
+        rotate_pairs_once(expected, m, d, step, *entries)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "COEF_CHUNK", bound)
+            _rotate_pairs(amp, m, d, step, lambda rows: [u.reshape(pre, -1)[rows] for u in entries],
+                          empty)
+        assert_same_bits(amp, expected, empty)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(), st.floats(0.3, 3.0))
+    def test_sliced_pulse_equals_the_one_shot_pulse(self, case, omega):
+        d, m, step, empty, bound, seed = case
+        rng = np.random.default_rng(seed)
+        amp = self.state(rng, d, m, step, empty)
+        energies = rng.uniform(-20.0, 20.0, d**m)
+        expected = amp.copy()
+        pulse_on_array_once(expected, m, d, step, energies, omega)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "COEF_CHUNK", bound)
+            _pulse_on_array(amp, m, d, step, energies, omega, empty)
+        assert_same_bits(amp, expected, empty)
+        if empty is not None and abs(step.theta) > 1e-6:
+            # generic entries and amplitudes: no zero product, same bits
+            assert amp.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(), st.integers(0, 3), st.integers(0, 3))
+    def test_sliced_ideal_gate_equals_the_one_shot_gate(self, case, radius, quarter_turns):
+        # ideal gates never skip products: a blocked pair's entries hold zeros
+        d, m, step, _, bound, seed = case
+        amp = random_state(np.random.default_rng(seed), d**m)
+        phase = 1j**quarter_turns
+        expected = amp.copy()
+        ideal_on_array_once(expected, m, d, step, radius, phase)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "COEF_CHUNK", bound)
+            _ideal_on_array(amp, m, d, step, radius, phase)
+        assert amp.tobytes() == expected.tobytes()
 
 
 class TestHamiltonianSpec:

@@ -297,16 +297,10 @@ def _mix_block(block, transition: Transition, u_lo, u_off, u_hi, u_idle=None, em
     elif empty == lo:
         block[:, lo], block[:, hi] = -(u_off * a_hi), u_hi * a_hi
     else:
-        block[:, lo], block[:, hi] = _mixed(a_lo, a_hi, u_lo, u_off, u_hi)
+        block[:, lo], block[:, hi] = u_lo * a_lo - u_off * a_hi, u_off * a_lo + u_hi * a_hi
     if block.shape[1] == 3:
         idle = transition.idle_level
         block[:, idle] = block[:, idle] * u_idle
-
-
-def _mixed(a_lo, a_hi, u_lo, u_off, u_hi):
-    """The pair (a_lo, a_hi) mixed by [[u_lo, -u_off], [u_off, u_hi]], as two
-    new arrays: both are computed before either input is overwritten."""
-    return u_lo * a_lo - u_off * a_hi, u_off * a_lo + u_hi * a_hi
 
 
 def _rotate_whole(amp, n_sites, local_dim, step: PulseStep, u_lo, u_off, u_hi, u_idle=None):

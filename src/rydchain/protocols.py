@@ -68,7 +68,7 @@ import inspect
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -516,7 +516,7 @@ def execute(plan: ProtocolPlan, backend) -> np.ndarray:
     gathered = len(schedule.parts) if realistic else 0
     for positions, part in zip(schedule.positions[:gathered], schedule.parts):
         _mix_gathered(amp, positions, mixes[:, :, part])
-    wide = islice(zip(plan.steps, schedule.widths, schedule.empty), gathered, None)
+    wide = zip(plan.steps[gathered:], schedule.widths[gathered:], schedule.empty[gathered:])
     for step, m, empty in wide:
         prefix = ground_tail(amp, n, dim, m)
         if realistic:

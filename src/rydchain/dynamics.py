@@ -13,17 +13,15 @@ entries, phase * cos and phase * sin, from the same slice of its blockade
 mask, read off the two neighbor windows; a wide realistic pulse
 (:func:`_pulse_on_array`) builds them with :func:`_pulse_coefficients` from
 the same slice of the diagonal's site view, and the post-processing gates
-pass constants (on at most COEF_CHUNK blocks, :func:`_rotate_whole` mixes
-the whole view at once).  When the schedule knows that one driven level
-is still exactly empty, a slice computes two products and no sums.
-:func:`_mix_gathered` mixes a gathered realistic pulse's pairs read at
-precompiled positions.  _pulse_coefficients works elementwise over blocks,
-so :func:`rydchain.protocols.gathered_mixes` computes the entries of all of
-a plan's gathered pulses, for a group of realizations, in one pass.  The
-kernels act on raw amplitude arrays and run only through
-:func:`rydchain.protocols.execute`, whose plan has checked every site,
-transition and the blockade range when it was built, and whose schedule
-compiles the gathered positions from the same layout helpers.
+pass constants.  Every operation is elementwise, so the result does not
+depend on the slicing, bit for bit.  :func:`_mix_gathered` mixes a gathered
+realistic pulse's pairs read at precompiled positions.  _pulse_coefficients
+works elementwise over blocks, so :func:`rydchain.protocols.gathered_mixes`
+computes the entries of all of a plan's gathered pulses, for a group of
+realizations, in one pass.  The kernels act on raw amplitude arrays and
+run only through :func:`rydchain.protocols.execute`, whose plan has checked
+every site, transition and the blockade range when it was built, and whose
+schedule compiles the gathered positions from the same layout helpers.
 
 Rotation convention
 -------------------
@@ -238,7 +236,7 @@ def _half_tables(n_sites: int, local_dim: int):
 COEF_CHUNK = 4096
 
 
-def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, entries, empty=None):
+def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, entries):
     """In ``amp``, for every frozen configuration of the other atoms, mix the
     pair that ``step`` drives by [[u_lo, -u_off], [u_off, u_hi]]; a
     three-level chain multiplies its undriven level by u_idle.
@@ -250,17 +248,7 @@ def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, entries, empty=None)
     one row, where a row is longer; or one block more, where a lone last
     row joins its slice).  Every operation is elementwise, so the result
     does not depend on the slicing, bit for bit.
-
-    When ``empty`` is the driven level hi or lo, that level holds only
-    zeros: each slice computes two products and no sums, and u_hi, or u_lo,
-    goes unused.  The skipped products are signed zeros, so every nonzero
-    component comes out as from the four products, bit for bit; a zero
-    component (of a pair zero on both levels, or from an entry or amplitude
-    with a zero part) may come out with the other sign.
-    :mod:`rydchain.protocols` passes ``empty`` only where no pair is zero by
-    construction and theta is nonzero.
     """
-    lo, hi = step.transition.levels
     view = site_view(amp, n_sites, local_dim, step.site)
     pre, _, post = view.shape
     # numpy takes its reduction loop for an in-place complex product on one
@@ -272,45 +260,21 @@ def _rotate_pairs(amp, n_sites, local_dim, step: PulseStep, entries, empty=None)
         del stops[-2]  # the lone last row joins the slice before it
     for start, stop in zip([0, *stops], stops):
         rows = slice(start, stop)
-        u = entries(rows)
-        if post == 1 or stop - start == size > post:
-            # ufuncs run faster down a slice's columns, each a strided run
-            # of rows, than over its (rows, post) block, once the rows fill
-            # the slice or there is one column
-            for col in range(post):
-                column = [x[:, col] if np.ndim(x) else x for x in u]
-                _mix_block(view[rows, :, col], step.transition, *column, empty=empty)
-        else:  # a shorter slice is mixed whole, in fewer calls
-            _mix_block(view[rows], step.transition, *u, empty=empty)
+        _mix_block(view[rows], step.transition, *entries(rows))
 
 
-def _mix_block(block, transition: Transition, u_lo, u_off, u_hi, u_idle=None, empty=None):
-    """In ``block`` (rows, d[, post]), the pairs ``transition`` drives mixed
+def _mix_block(block, transition: Transition, u_lo, u_off, u_hi, u_idle=None):
+    """In ``block`` (rows, d, post), the pairs ``transition`` drives mixed
     by [[u_lo, -u_off], [u_off, u_hi]] and, on three levels, the undriven
-    level multiplied by ``u_idle``; ``empty`` as for :func:`_rotate_pairs`."""
+    level multiplied by ``u_idle``."""
     lo, hi = transition.levels
     a_lo, a_hi = block[:, lo], block[:, hi]
     # every result goes to a new array first: numpy's complex product can
     # round differently when its output overlaps an input
-    if empty == hi:
-        block[:, lo], block[:, hi] = u_lo * a_lo, u_off * a_lo
-    elif empty == lo:
-        block[:, lo], block[:, hi] = -(u_off * a_hi), u_hi * a_hi
-    else:
-        block[:, lo], block[:, hi] = u_lo * a_lo - u_off * a_hi, u_off * a_lo + u_hi * a_hi
+    block[:, lo], block[:, hi] = u_lo * a_lo - u_off * a_hi, u_off * a_lo + u_hi * a_hi
     if block.shape[1] == 3:
         idle = transition.idle_level
         block[:, idle] = block[:, idle] * u_idle
-
-
-def _rotate_whole(amp, n_sites, local_dim, step: PulseStep, u_lo, u_off, u_hi, u_idle=None):
-    """In ``amp``, :func:`_rotate_pairs`' mix by scalar entries of a site
-    view of at most COEF_CHUNK blocks, in one shot and without its slicing:
-    the same products and sums, so the results agree bit for bit."""
-    view = site_view(amp, n_sites, local_dim, step.site)
-    if view.shape[2] == 1:
-        view = view[:, :, 0]  # one strided run per level
-    _mix_block(view, step.transition, u_lo, u_off, u_hi, u_idle)
 
 
 def _free_of_blockade(n_sites, local_dim, site, radius):
@@ -365,7 +329,7 @@ def _mix_gathered(amp, positions, mix):
         amp.put(positions[2], a[2] * mix[0, 2])
 
 
-def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive, unused=None):
+def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive):
     """Entries (u_lo, u_off, u_hi[, u_idle]) of each closed 2x2 block's
     evolution for a time t under the drive 2 Omega sign(theta) (``drive``),
     as :func:`_rotate_pairs` takes them.
@@ -379,9 +343,7 @@ def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive, unused=None):
 
     and the undriven level by exp(-i d_idle t).  Elementwise over the blocks,
     so t and drive are scalars for one pulse or arrays over many pulses' blocks;
-    the entries are built in place, three complex arrays in all.  ``unused``,
-    0 or 1, skips u_lo or u_hi (None in its place): the entry a pulse whose
-    driven level lo or hi is empty never reads.
+    the entries are built in place, three complex arrays in all.
     """
     w = np.subtract(d_hi, d_lo)
     w *= 0.5
@@ -396,12 +358,11 @@ def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive, unused=None):
     phase = np.multiply(arg, -1j)
     np.exp(phase, out=phase)
     w *= s  # w s
-    iws = np.multiply(w, 1j)
-    u_hi = None if unused == 1 else np.subtract(c, iws, out=iws if unused == 0 else None)
-    u_lo = None if unused == 0 else np.add(iws, c, out=iws)
-    for u in (u_lo, u_hi):
-        if u is not None:
-            u *= phase
+    u_lo = np.multiply(w, 1j)
+    u_hi = np.subtract(c, u_lo)
+    u_lo += c
+    u_lo *= phase
+    u_hi *= phase
     s *= drive  # drive s
     u_off = np.multiply(phase, s, out=phase)
     if d_idle is None:
@@ -410,24 +371,23 @@ def _pulse_coefficients(d_lo, d_hi, d_idle, t, drive, unused=None):
     return u_lo, u_off, u_hi, np.exp(u_idle, out=u_idle)
 
 
-def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega, empty=None):
+def _pulse_on_array(amp, n_sites, local_dim, step: PulseStep, e_tot, omega):
     """Exact evolution of each closed 2x2 block for t = |theta| / (2 omega),
     in ``amp``: the one-pulse case of :func:`_pulse_coefficients`, computed
     slice by slice of :func:`_rotate_pairs` from the same rows of the
-    diagonal's site view.  ``empty`` as for _rotate_pairs."""
+    diagonal's site view."""
     lo, hi = step.transition.levels
     t = abs(step.theta) / (2.0 * omega)
     drive = 2.0 * omega * np.sign(step.theta) if step.theta else 2.0 * omega
     e_view = site_view(e_tot, n_sites, local_dim, step.site)
     idle = step.transition.idle_level if local_dim == 3 else None
-    unused = {lo: 0, hi: 1}.get(empty)
 
     def entries(rows):
         e = e_view[rows]
         d_idle = None if idle is None else e[:, idle]
-        return _pulse_coefficients(e[:, lo], e[:, hi], d_idle, t, drive, unused)
+        return _pulse_coefficients(e[:, lo], e[:, hi], d_idle, t, drive)
 
-    _rotate_pairs(amp, n_sites, local_dim, step, entries, empty)
+    _rotate_pairs(amp, n_sites, local_dim, step, entries)
 
 
 # ---------------------------------------------------------------------------

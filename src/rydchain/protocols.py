@@ -27,25 +27,17 @@ view, and the post-processing gates run on the whole array.
 
 What of this depends on the plan alone, its :class:`PulseSchedule`, is
 compiled on the first :func:`execute` and kept on the plan: each pulse's
-width m, the gathered pulses, each pulse's empty driven level and the
-post-processing gates.  A pulse at width m drives d^(m-1) blocks (one per
-configuration of the other atoms), so pulses never drive fewer blocks than
-the ones before them; the leading pulses that drive at most
-:data:`COEF_CHUNK` blocks each are gathered, and the schedule holds the
-positions of their blocks' levels in the whole chain.  A wider pulse, and
-every ideal gate, runs the view kernel, which mixes the site view's rows in
-slices of at most COEF_CHUNK blocks and reads the diagonal through views,
-so neither the schedule nor any kernel temporary grows with d^n.  A
-post-processing gate mixes the schedule's constant entries into its site
-view: all at once when it drives at most COEF_CHUNK blocks, else in the
-view kernel's slices.
-
-Which levels a pulse can find populated follows from the plan alone:
-a pulse moves only its own atom's population, between the two levels it
-drives.  Where a wide realistic pulse's lo or hi level is still exactly
-empty and every other atom of its prefix can hold every level, the
-schedule records it and the kernel mixes with two products instead of
-four (:func:`_empty_levels`).
+width m, the gathered pulses and the post-processing gates' entries.  A
+pulse at width m drives d^(m-1) blocks (one per configuration of the other
+atoms), so pulses never drive fewer blocks than the ones before them; the
+leading pulses that drive at most :data:`COEF_CHUNK` blocks each are
+gathered, and the schedule holds the positions of their blocks' levels in
+the whole chain.  A wider pulse, and every ideal gate, runs the view
+kernel, which mixes the site view's rows in slices of at most COEF_CHUNK
+blocks and reads the diagonal through views, so neither the schedule nor
+any kernel temporary grows with d^n.  A post-processing gate mixes the
+schedule's constant entries into the whole chain's site view in the same
+slices.
 
 A :class:`RealisticBackend` holds one realization's basis energies (the
 diagonal of H over the whole chain) and Omega, not a Hamiltonian, and the
@@ -82,14 +74,11 @@ from .dynamics import (
     _pulse_coefficients,
     _pulse_on_array,
     _rotate_pairs,
-    _rotate_whole,
     half_pi_pulse,
     pi_pulse,
 )
 from .errors import NumericalError
 from .statekit import (
-    GROUND,
-    RYDBERG,
     LevelScheme,
     check_norm,
     check_qubit,
@@ -381,16 +370,10 @@ class PulseSchedule:
     their K blocks are the columns of :func:`gathered_mixes`.
     ``half_theta`` (|theta|/2) and ``sign`` (sign(theta), +1 for theta =
     0) repeat each pulse's value over its blocks, and ``parts`` slices out
-    each pulse's blocks.
-
-    ``empty`` holds, for each pulse, the driven level of its addressed atom
-    that is still exactly empty, or None (:func:`_empty_levels`): a wide
-    realistic pulse mixes its pairs with two products instead of four.
-    ``post`` holds each post-processing gate's entries (phase cos theta,
-    phase sin theta, phase cos theta, phase) as
-    :func:`rydchain.dynamics._rotate_pairs` takes them; a gate that drives
-    at most COEF_CHUNK blocks mixes them into its whole site view at once
-    (:func:`rydchain.dynamics._rotate_whole`).  Every array is read-only.
+    each pulse's blocks.  ``post`` holds each post-processing gate's
+    entries (phase cos theta, phase sin theta, phase cos theta, phase), the
+    constants :func:`rydchain.dynamics._rotate_pairs` mixes into every
+    slice.  Every array is read-only.
     """
 
     widths: tuple[int, ...]
@@ -398,7 +381,6 @@ class PulseSchedule:
     half_theta: np.ndarray
     sign: np.ndarray
     parts: tuple[slice, ...]
-    empty: tuple[int | None, ...]
     post: tuple[tuple, ...]
 
 
@@ -423,41 +405,7 @@ def _compile_schedule(plan: ProtocolPlan) -> PulseSchedule:
     post = tuple(_ideal_coefficients(p, 1j ** (p.phase_quarter_turns % 4)) for p in plan.post_steps)
     for table in (*positions, half_theta, sign):
         table.setflags(write=False)
-    return PulseSchedule(widths, tuple(positions), half_theta, sign, parts,
-                         _empty_levels(plan, widths), post)
-
-
-def _empty_levels(plan: ProtocolPlan, widths) -> tuple[int | None, ...]:
-    """For each pulse, the driven level of its addressed atom that no
-    earlier pulse can have populated, where every other atom of its prefix
-    can hold every level; else None.
-
-    Only a pulse on an atom moves that atom's population, and only between
-    the two levels it drives: every atom starts able to reach {0}, site 1
-    of a transport plan {0, 1}, and a pulse whose pair touches a reachable
-    level makes both reachable.  A level outside that set holds exact
-    zeros, so a realistic pulse on it needs two products, not four
-    (:func:`rydchain.dynamics._rotate_pairs`).  The skipped products are
-    signed zeros, which leave a nonzero result unchanged but can flip the
-    sign of a zero one.  So a pulse keeps all four where a pair can be zero
-    on both levels, that is while another atom still has an unreachable
-    level (ghz3 after its first pulse), and where theta = 0 makes its entry
-    u_off zero; an ideal gate, whose blocked configurations have u_off = 0,
-    always does.
-    """
-    dim = plan.scheme.local_dim
-    reach = [{GROUND} for _ in range(plan.n_sites)]
-    if plan.kind is ProtocolKind.TRANSPORT:
-        reach[0].add(RYDBERG)
-    empty = []
-    for step, m in zip(plan.steps, widths):
-        levels, reachable = step.transition.levels, reach[step.site - 1]
-        missing = [level for level in levels if level not in reachable]
-        others_full = all(len(reach[k]) == dim for k in range(m) if k != step.site - 1)
-        empty.append(missing[0] if len(missing) == 1 and others_full and step.theta else None)
-        if len(missing) < 2:
-            reachable.update(levels)
-    return tuple(empty)
+    return PulseSchedule(widths, tuple(positions), half_theta, sign, parts, post)
 
 
 def gathered_mixes(plan: ProtocolPlan, energies: np.ndarray, omega: float) -> np.ndarray:
@@ -516,19 +464,14 @@ def execute(plan: ProtocolPlan, backend) -> np.ndarray:
     gathered = len(schedule.parts) if realistic else 0
     for positions, part in zip(schedule.positions[:gathered], schedule.parts):
         _mix_gathered(amp, positions, mixes[:, :, part])
-    wide = zip(plan.steps[gathered:], schedule.widths[gathered:], schedule.empty[gathered:])
-    for step, m, empty in wide:
+    for step, m in zip(plan.steps[gathered:], schedule.widths[gathered:]):
         prefix = ground_tail(amp, n, dim, m)
         if realistic:
-            e_prefix = ground_tail(e_tot, n, dim, m)
-            _pulse_on_array(prefix, m, dim, step, e_prefix, backend.omega, empty)
+            _pulse_on_array(prefix, m, dim, step, ground_tail(e_tot, n, dim, m), backend.omega)
         else:
             _ideal_on_array(prefix, m, dim, step, plan.blockade_range)
     for post, entries in zip(plan.post_steps, schedule.post):
-        if dim ** (n - 1) <= COEF_CHUNK:  # a post-processing gate drives d^(n-1) blocks
-            _rotate_whole(amp, n, dim, post, *entries)
-        else:
-            _rotate_pairs(amp, n, dim, post, lambda rows, entries=entries: entries)
+        _rotate_pairs(amp, n, dim, post, lambda rows, entries=entries: entries)
     return check_norm(amp)
 
 

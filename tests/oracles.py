@@ -55,8 +55,8 @@ def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
 def rotate_pairs_once(amp, n_sites, local_dim, step, u_lo, u_off, u_hi, u_idle=None):
     """In ``amp``, the driven pairs of ``step`` mixed by [[u_lo, -u_off],
     [u_off, u_hi]] (scalars or flat arrays over the other atoms'
-    configurations) in one shot, with all four products; on three levels the
-    undriven level is multiplied by ``u_idle``.
+    configurations) in one shot; on three levels the undriven level is
+    multiplied by ``u_idle``.
 
     Reference for the sliced :func:`rydchain.dynamics._rotate_pairs`: the
     rows are read through one level-major copy (``level_rows``) and written

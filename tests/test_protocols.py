@@ -7,14 +7,13 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, random_state, realistic_backend, run_ideal, run_realistic
-from oracles import execute_full_width, initial_amplitudes, rotate_pairs_once
+from oracles import execute_full_width, initial_amplitudes
 from rydchain import protocols
 from rydchain.dynamics import (
     HamiltonianSpec,
     InteractionRange,
     PulseStep,
     Transition,
-    _rotate_pairs,
     build_full_hamiltonian,
     interaction_diagonal,
 )
@@ -44,7 +43,7 @@ from rydchain.protocols import (
     plan_transport,
     protocol_duration,
 )
-from rydchain.statekit import RYDBERG, LevelScheme, basis_digits, reduce_to_site, site_view
+from rydchain.statekit import RYDBERG, LevelScheme, basis_digits, reduce_to_site
 from rydchain.targets import (
     dimer_target_direct,
     fidelity_mixed_single_qubit,
@@ -528,8 +527,6 @@ class TestSchedule:
         assert schedule.half_theta.shape == schedule.sign.shape == (total,)
         # one set of post-processing entries per post-step, as plan constants
         assert len(schedule.post) == len(plan.post_steps)
-        # one empty-level record per pulse
-        assert len(schedule.empty) == len(plan.steps)
         arrays = schedule_arrays(schedule)
         assert len(arrays) == gathered + 2 and not any(a.flags.writeable for a in arrays)
 
@@ -551,9 +548,8 @@ class TestSchedule:
 
     @pytest.mark.parametrize("name", ["ghz3-8", "transport-13"])
     def test_gathered_pulses_skip_the_view_kernels(self, name, monkeypatch):
-        # every pulse of these plans is gathered, and a post-processing gate
-        # on at most COEF_CHUNK blocks mixes its whole view at once: the
-        # sliced view kernels run only wide gates, here none
+        # every pulse of these plans is gathered: the view kernels run only
+        # the post-processing gates
         plan = self.PLANS[name]()
         assert len(plan.schedule.parts) == len(plan.steps)
         calls = {"_rotate_pairs": 0, "_pulse_on_array": 0}
@@ -567,13 +563,12 @@ class TestSchedule:
             monkeypatch.setattr(protocols, kernel, counting)
         hamiltonian = chain_hamiltonian(plan.n_sites, 6.9)
         execute(plan, realistic_backend(hamiltonian, 1.0, plan.scheme))
-        assert calls == {"_rotate_pairs": 0, "_pulse_on_array": 0}
-        # the wide pulses of a straddling plan, and its one post-step on
-        # 2^13 blocks, keep the view kernels
+        assert calls == {"_rotate_pairs": len(plan.post_steps), "_pulse_on_array": 0}
+        # the wide pulses of a straddling plan keep the view kernel
         plan = self.PLANS["transport-14"]()
         execute(plan, realistic_backend(chain_hamiltonian(14, 6.9), 1.0))
         wide = len(plan.steps) - len(plan.schedule.parts)
-        assert calls == {"_rotate_pairs": 1, "_pulse_on_array": wide} and wide > 0
+        assert calls["_pulse_on_array"] == wide > 0
 
     @pytest.mark.parametrize("name", ["mps-14", "ghz3-8"])
     def test_stacked_mixes_equal_each_lone_backend(self, name):
@@ -599,68 +594,8 @@ class TestSchedule:
             execute(plan, RealisticBackend(energies, 1.0, row))
 
 
-class TestEmptyLevels:
-    """The levels a plan records as empty, the post-processing gates mixed in
-    one shot, and what one execute allocates."""
-
-    @pytest.mark.parametrize("kind", list(ProtocolKind))
-    @pytest.mark.parametrize("n", range(2, 10))
-    @pytest.mark.parametrize("realistic", [True, False])
-    def test_each_recorded_empty_level_holds_zeros(self, kind, n, realistic):
-        # brute force, pulse by pulse over the whole chain: the state just
-        # before a pulse is exactly 0 on the level recorded for it
-        plan = plan_for(kind, n)
-        dim = plan.scheme.local_dim
-        if realistic:
-            backend = realistic_backend(chain_hamiltonian(n, 6.9), 1.0, plan.scheme)
-        else:
-            backend = IdealBackend()
-        amp = initial_amplitudes(plan)
-        for step, empty in zip(plan.steps, plan.schedule.empty):
-            if empty is not None:
-                assert not site_view(amp, n, dim, step.site)[:, empty].any()
-            amp = execute_full_width(dataclasses.replace(plan, steps=(step,), post_steps=()),
-                                     backend, amp)
-
-    @pytest.mark.parametrize("kind", list(ProtocolKind))
-    def test_records_follow_the_reachable_levels(self, kind):
-        # a first pulse on a site finds its hi level empty; ghz3 keeps all
-        # four products after its first pulse, since the hyperfine levels of
-        # the other atoms are still empty then
-        n = 6
-        plan = plan_for(kind, n)
-        expected = {
-            ProtocolKind.GHZ2: [RYDBERG] * n,
-            ProtocolKind.GHZ3: [RYDBERG] + [None] * (2 * n - 2),
-            ProtocolKind.DIMER_MPS: [RYDBERG] * n,
-            ProtocolKind.TRANSPORT: [RYDBERG, None] * (n - 1),
-        }[kind]
-        assert list(plan.schedule.empty) == expected
-        # a theta = 0 pulse has u_off = 0: it keeps all four products
-        assert set(plan_for(ProtocolKind.DIMER_MPS, n, z=0.0).schedule.empty) == {None}
-
-    @pytest.mark.parametrize("plan", [plan_transport(2, 0.6, 0.8j), plan_transport(6, 0.6, 0.8),
-                                      plan_transport(12, 0.8, -0.6), plan_ghz(4, THREE),
-                                      plan_ghz(8, THREE)])
-    @pytest.mark.parametrize("realistic", [True, False])
-    def test_whole_view_post_step_equals_the_view_kernel(self, plan, realistic):
-        # a post-step on at most COEF_CHUNK blocks, mixed in one shot: the
-        # view kernel's products and sums, bit for bit, signed zeros included
-        entries, = plan.schedule.post
-        n, dim = plan.n_sites, plan.scheme.local_dim
-        assert dim ** (n - 1) <= COEF_CHUNK
-        if realistic:
-            backend = realistic_backend(chain_hamiltonian(n, 6.9), 1.0, plan.scheme)
-        else:
-            backend = IdealBackend()
-        pulsed = execute(dataclasses.replace(plan, post_steps=()), backend)
-        post = plan.post_steps[0]
-        reference = pulsed.copy()
-        rotate_pairs_once(reference, n, dim, post, *entries)
-        view = pulsed.copy()
-        _rotate_pairs(view, n, dim, post, lambda rows: entries)
-        assert view.tobytes() == reference.tobytes()
-        assert execute(plan, backend).tobytes() == reference.tobytes()
+class TestKernelMemory:
+    """What one execute allocates beyond the state it returns."""
 
     @pytest.mark.parametrize("kind, n", [(ProtocolKind.GHZ2, 18), (ProtocolKind.GHZ3, 11),
                                          (ProtocolKind.DIMER_MPS, 16), (ProtocolKind.TRANSPORT, 17),

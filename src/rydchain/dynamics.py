@@ -9,7 +9,7 @@ u_idle.  :func:`_rotate_pairs` works on the (pre, d, post) view of the state
 mixes its rows in slices of max(1, COEF_CHUNK // post), writing each slice
 back in place; each slice asks for its own entries, so no temporary
 outgrows :data:`COEF_CHUNK` blocks.  The ideal gate builds a slice's
-entries, phase * cos and phase * sin, from the same slice of its blockade
+entries, cos and sin, from the same slice of its blockade
 mask, read off the two neighbor windows; a wide realistic pulse
 (:func:`_pulse_on_array`) builds them with :func:`_pulse_coefficients` from
 the same slice of the diagonal's site view, and the post-processing gates
@@ -72,7 +72,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NumericalError
-from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits, site_view
+from .statekit import GROUND, HYPERFINE, RYDBERG, basis_digits, check_integer, site_view
 
 PI_HALF = np.pi / 2
 PI_QUARTER = np.pi / 4
@@ -102,6 +102,7 @@ class PulseStep:
     theta: float
 
     def __post_init__(self):
+        check_integer(self.site, "site")
         if self.site < 1:
             raise ValueError("site indices are 1-based")
         if not -np.pi <= self.theta <= np.pi:
@@ -144,6 +145,9 @@ class HamiltonianSpec:
     detuning: np.ndarray = field(default=None)  # defaults to zeros
 
     def __post_init__(self):
+        for name in ("couplings", "detuning"):  # the casts below would drop imaginary parts
+            if np.asarray(getattr(self, name)).dtype.kind == "c":
+                raise ValueError(f"{name} must be real")
         V = np.asarray(self.couplings, dtype=float)
         if V.ndim not in (2, 3) or V.shape[-2] != V.shape[-1]:
             raise ValueError("couplings must be a square matrix or a stack of them")
@@ -299,21 +303,20 @@ def _none_rydberg(n_sites, local_dim):
     return ~(basis_digits(n_sites, local_dim) == RYDBERG).any(axis=1)
 
 
-def _ideal_coefficients(step: PulseStep, phase=1, free=True):
-    """Entries (u_lo, u_off, u_hi, u_idle) of ``phase`` times the theta
-    rotation, as :func:`_rotate_pairs` takes them, where ``free`` holds; a
-    blocked configuration gets ``phase`` times the identity."""
-    c = phase * np.where(free, np.cos(step.theta), 1.0)
-    s = phase * np.where(free, np.sin(step.theta), 0.0)
-    return c, s, c, phase
+def _ideal_coefficients(step: PulseStep, free=True):
+    """Entries (u_lo, u_off, u_hi, u_idle) of the theta rotation, as
+    :func:`_rotate_pairs` takes them, where ``free`` holds; a blocked
+    configuration gets the identity."""
+    c = np.where(free, np.cos(step.theta), 1.0)
+    s = np.where(free, np.sin(step.theta), 0.0)
+    return c, s, c, 1
 
 
-def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int, phase=1):
-    """``phase`` times the theta rotation, in ``amp``; a blocked configuration
-    skips the rotation."""
+def _ideal_on_array(amp, n_sites, local_dim, step: PulseStep, radius: int):
+    """The theta rotation, in ``amp``; a blocked configuration skips it."""
     free = _free_of_blockade(n_sites, local_dim, step.site, radius)
     _rotate_pairs(amp, n_sites, local_dim, step,
-                  lambda rows: _ideal_coefficients(step, phase, free(rows)))
+                  lambda rows: _ideal_coefficients(step, free(rows)))
 
 
 def _mix_gathered(amp, positions, mix):

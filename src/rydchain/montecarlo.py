@@ -25,7 +25,6 @@ independent of worker count and identical across reruns.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -52,20 +51,13 @@ from .protocols import (
     gathered_mixes,
     plan_for,
 )
-from .statekit import reduce_to_site, require_capacity
+from .statekit import check_integer, reduce_to_site, require_capacity
 from .targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure, ghz_target
 
 #: Amplitudes of the final states a block of realizations holds at once: a
 #: cell runs max(1, BATCH_AMPLITUDES // d^n) realizations per block.  A
 #: constant, so no result depends on the host.
 BATCH_AMPLITUDES = 2**16
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; raises unless it is an integer and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -83,13 +75,13 @@ class SweepSpec:
     beta: complex = 2**-0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "realizations", _integer(self.realizations, "realizations"))
+        object.__setattr__(self, "realizations", check_integer(self.realizations, "realizations"))
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         if not self.grid or not self.n_list:
             raise ValueError("grid and n_list must each hold at least one value")
-        object.__setattr__(self, "n_list", tuple(_integer(n, "each n_list entry") for n in self.n_list))
-        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
+        object.__setattr__(self, "n_list", tuple(check_integer(n, "each n_list entry") for n in self.n_list))
+        object.__setattr__(self, "master_seed", check_integer(self.master_seed, "master_seed"))
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))

@@ -12,8 +12,8 @@ Sequences (sites are 1-based, all pulses are named pi pulses unless noted):
   backward recursion tan A_j = z * prod_{k=j+1..j+R} cos A_k with
   cos A_{N+j} = 1, positive cosines, sin following the sign of z.
 * Transport: for k = 1..N-1 a pi pulse on site k+1 then on site k, 2N-2
-  pulses, plus the single-site correction i^(N-1) sigma_y on site N for
-  even chain lengths.
+  pulses, plus for even N the correction sigma_y on site N, up to a global
+  phase: the post-processing pi pulse exp(-i (pi/2) sigma_y) = -i sigma_y.
 
 Every sequence addresses sites in nearly increasing order, which
 :func:`execute` turns into less work.  Sites past the highest one pulsed so
@@ -80,6 +80,7 @@ from .dynamics import (
 from .errors import NumericalError
 from .statekit import (
     LevelScheme,
+    check_integer,
     check_norm,
     check_qubit,
     ground_tail,
@@ -96,41 +97,31 @@ class ProtocolKind(Enum):
 
 
 @dataclass(frozen=True)
-class PostStep(PulseStep):
-    """Post-processing single-site gate: i^(q) times a theta rotation."""
-
-    phase_quarter_turns: int = 0
-
-
-@dataclass(frozen=True)
 class ProtocolPlan:
     kind: ProtocolKind
     n_sites: int
     scheme: LevelScheme
     steps: tuple[PulseStep, ...]
-    post_steps: tuple[PostStep, ...] = ()
+    post_steps: tuple[PulseStep, ...] = ()
     blockade_range: int = 1  # the ideal backend's blockade radius
     alpha: complex | None = None
     beta: complex | None = None
 
     def __post_init__(self):
-        """The chain has at least one site, every step and post-step
-        addresses one of them, a hyperfine transfer needs the three-level
-        scheme, the blockade range is not negative, post_steps holds the
-        PostSteps and steps the other pulses, and a transport plan, and no
-        other, carries the normalized qubit it moves."""
-        if not self.n_sites >= 1:
+        """The chain has an integer number of sites, at least one, every
+        step and post-step addresses one of them, a hyperfine transfer needs
+        the three-level scheme, the blockade range is a non-negative integer,
+        and a transport plan, and no other, carries the normalized qubit."""
+        for name in ("n_sites", "blockade_range"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        if self.n_sites < 1:
             raise ValueError("a plan needs at least one site")
-        if not self.blockade_range >= 0:
+        if self.blockade_range < 0:
             raise ValueError("blockade_range must be >= 0")
         if self.kind is ProtocolKind.TRANSPORT:
             check_qubit(self.alpha, self.beta)
         elif self.alpha is not None or self.beta is not None:
             raise ValueError(f"a {self.kind.value} plan takes no alpha/beta")
-        if any(isinstance(step, PostStep) for step in self.steps) or not all(
-            isinstance(post, PostStep) for post in self.post_steps
-        ):
-            raise ValueError("a PostStep belongs in post_steps, and only there")
         three_level = self.scheme is LevelScheme.THREE_LEVEL
         for step in (*self.steps, *self.post_steps):
             if not 1 <= step.site <= self.n_sites:
@@ -158,7 +149,7 @@ def plan_ghz(n_sites: int, scheme: LevelScheme) -> ProtocolPlan:
         for k in range(1, n_sites):
             steps.append(pi_pulse(k + 1))
             steps.append(pi_pulse(k, Transition.RYDBERG_HYPERFINE))
-        post = (PostStep(n_sites, Transition.RYDBERG_HYPERFINE, np.pi / 2),)
+        post = (pi_pulse(n_sites, Transition.RYDBERG_HYPERFINE),)
         kind = ProtocolKind.GHZ3
     else:
         for k in range(2, n_sites + 1):
@@ -275,8 +266,8 @@ def plan_transport(n_sites: int, alpha: complex, beta: complex) -> ProtocolPlan:
         steps.append(pi_pulse(k))
     post = ()
     if n_sites % 2 == 0:
-        # i^(N-1) sigma_y = i^N exp(-i (pi/2) sigma_y) on the last site
-        post = (PostStep(n_sites, Transition.GROUND_RYDBERG, np.pi / 2, n_sites % 4),)
+        # sigma_y up to a global phase: exp(-i (pi/2) sigma_y) = -i sigma_y
+        post = (pi_pulse(n_sites),)
     return ProtocolPlan(
         ProtocolKind.TRANSPORT,
         n_sites,
@@ -344,13 +335,15 @@ class RealisticBackend:
     realization's row of :func:`gathered_mixes` for the plan it runs; a
     backend without one has it computed by :func:`execute`.  The energies
     are read as given: the :class:`rydchain.dynamics.HamiltonianSpec` they
-    came from was checked when it was built."""
+    came from was checked when it was built; a complex diagonal raises."""
 
     energies: np.ndarray
     omega: float
     mixes: np.ndarray | None = None
 
     def __post_init__(self):
+        if np.asarray(self.energies).dtype.kind == "c":  # a float cast drops imaginary parts
+            raise ValueError("energies must be real")
         object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
         if not 0 < self.omega < np.inf:  # a NaN fails too
             raise ValueError("omega must be finite and positive")
@@ -371,9 +364,9 @@ class PulseSchedule:
     ``half_theta`` (|theta|/2) and ``sign`` (sign(theta), +1 for theta =
     0) repeat each pulse's value over its blocks, and ``parts`` slices out
     each pulse's blocks.  ``post`` holds each post-processing gate's
-    entries (phase cos theta, phase sin theta, phase cos theta, phase), the
-    constants :func:`rydchain.dynamics._rotate_pairs` mixes into every
-    slice.  Every array is read-only.
+    entries (cos theta, sin theta, cos theta, 1), the constants
+    :func:`rydchain.dynamics._rotate_pairs` mixes into every slice.  Every
+    array is read-only.
     """
 
     widths: tuple[int, ...]
@@ -402,7 +395,8 @@ def _compile_schedule(plan: ProtocolPlan) -> PulseSchedule:
         positions.append(level_rows(prefix, m, dim, step.site)[list(roles)])
     half_theta = np.repeat([abs(step.theta) / 2.0 for step in steps], per_block)
     sign = np.repeat([np.sign(step.theta) if step.theta else 1.0 for step in steps], per_block)
-    post = tuple(_ideal_coefficients(p, 1j ** (p.phase_quarter_turns % 4)) for p in plan.post_steps)
+    # complex scalars: numpy mixes them into complex rows faster than real ones
+    post = tuple(tuple(map(np.complex128, _ideal_coefficients(p))) for p in plan.post_steps)
     for table in (*positions, half_theta, sign):
         table.setflags(write=False)
     return PulseSchedule(widths, tuple(positions), half_theta, sign, parts, post)

@@ -14,6 +14,7 @@ view of them, through which they are read and written in place.
 
 from __future__ import annotations
 
+import numbers
 from enum import Enum
 from functools import lru_cache
 
@@ -39,6 +40,14 @@ class LevelScheme(Enum):
     @property
     def local_dim(self) -> int:
         return self.value
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; raises unless it is an integer and not a bool.
+    A plain int skips the slower ABC check: plans build thousands of steps."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_capacity(n_sites: int, local_dim: int) -> int:

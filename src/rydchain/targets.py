@@ -23,16 +23,17 @@ def ghz_target(n_sites: int, scheme: LevelScheme) -> np.ndarray:
 
     Two-level chains store the pattern in the Rydberg level, three-level
     chains in the hyperfine level.  At odd lengths the two components differ
-    in excitation number, so they are not energy-degenerate.
+    in excitation number, and the three-level sequence prepares them with a
+    relative minus sign this target lacks, so it scores about 0 there.
     """
     if n_sites < 2:
         raise ValueError("GHZ pattern needs at least 2 sites")
     amp = np.zeros(require_capacity(n_sites, scheme.local_dim), dtype=np.complex128)
     x = HYPERFINE if scheme is LevelScheme.THREE_LEVEL else RYDBERG
     dim = scheme.local_dim
-    a = [x if k % 2 else 0 for k in range(n_sites)]  # x 0 x 0 ...
+    a = [x if k % 2 else 0 for k in range(n_sites)]  # 0 x 0 x ...
     b = [0 if k % 2 else x for k in range(n_sites)]
-    amp[encode_occupations(b, dim)] = 1 / np.sqrt(2)  # 0 x 0 x ...
+    amp[encode_occupations(b, dim)] = 1 / np.sqrt(2)  # x 0 x 0 ...
     amp[encode_occupations(a, dim)] = 1 / np.sqrt(2)
     return amp
 

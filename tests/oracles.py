@@ -48,7 +48,7 @@ def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
         else:
             _ideal_on_array(amp, n, dim, step, plan.blockade_range)
     for post in plan.post_steps:
-        _ideal_on_array(amp, n, dim, post, 0, 1j ** (post.phase_quarter_turns % 4))
+        _ideal_on_array(amp, n, dim, post, 0)
     return check_norm(amp)
 
 
@@ -91,8 +91,8 @@ def pulse_on_array_once(amp, n_sites, local_dim, step, e_tot, omega):
     rotate_pairs_once(amp, n_sites, local_dim, step, *coefficients)
 
 
-def ideal_on_array_once(amp, n_sites, local_dim, step, radius, phase=1):
-    """``phase`` times the ideal constrained rotation, in ``amp``, from one
+def ideal_on_array_once(amp, n_sites, local_dim, step, radius):
+    """The ideal constrained rotation, in ``amp``, from one
     flat blockade mask over all the other atoms' configurations: reference
     for the sliced :func:`rydchain.dynamics._ideal_on_array`."""
     site = step.site
@@ -101,9 +101,9 @@ def ideal_on_array_once(amp, n_sites, local_dim, step, radius, phase=1):
     before = np.tile(none_rydberg[0], local_dim ** (site - 1 - left))
     after = np.repeat(none_rydberg[1], local_dim ** (n_sites - site - right))
     free = (before[:, None] & after).reshape(-1)
-    c = phase * np.where(free, np.cos(step.theta), 1.0)
-    s = phase * np.where(free, np.sin(step.theta), 0.0)
-    rotate_pairs_once(amp, n_sites, local_dim, step, c, s, c, phase)
+    c = np.where(free, np.cos(step.theta), 1.0)
+    s = np.where(free, np.sin(step.theta), 0.0)
+    rotate_pairs_once(amp, n_sites, local_dim, step, c, s, c, 1)
 
 
 def sweep_cell_by_loop(spec, plan, grid_index) -> SweepRecord:

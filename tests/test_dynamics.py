@@ -50,6 +50,13 @@ class TestPulseStep:
         with pytest.raises(ValueError):
             PulseStep(1, G_R, 4.0)
 
+    @pytest.mark.parametrize("site", [True, 2.0, np.float64(1.0)])
+    def test_site_must_be_an_integer(self, site):
+        # PulseStep(True, ...) once ran as site 1, and PulseStep(2.0, ...) failed inside execute
+        with pytest.raises(ValueError, match="site must be an integer"):
+            PulseStep(site, G_R, 0.1)
+        assert PulseStep(np.int64(2), G_R, 0.1).site == 2
+
 
 class TestIdealGate:
     def test_free_atom_pi(self):
@@ -318,16 +325,15 @@ class TestSlicedKernel:
         assert amp.tobytes() == expected.tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(kernel_cases(), st.integers(0, 3), st.integers(0, 3))
-    def test_sliced_ideal_gate_equals_the_one_shot_gate(self, case, radius, quarter_turns):
+    @given(kernel_cases(), st.integers(0, 3))
+    def test_sliced_ideal_gate_equals_the_one_shot_gate(self, case, radius):
         d, m, step, bound, seed = case
         amp = random_state(np.random.default_rng(seed), d**m)
-        phase = 1j**quarter_turns
         expected = amp.copy()
-        ideal_on_array_once(expected, m, d, step, radius, phase)
+        ideal_on_array_once(expected, m, d, step, radius)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "COEF_CHUNK", bound)
-            _ideal_on_array(amp, m, d, step, radius, phase)
+            _ideal_on_array(amp, m, d, step, radius)
         assert amp.tobytes() == expected.tobytes()
 
 
@@ -347,6 +353,14 @@ class TestHamiltonianSpec:
         # V_kk once acted silently as a detuning V_kk/2 on site k
         with pytest.raises(ValueError, match="zero diagonal"):
             HamiltonianSpec(np.diag(diagonal))
+
+    def test_complex_input_rejected(self):
+        # a complex array once only warned, then ran on its real part
+        V = chain_hamiltonian(3, 6.9).couplings
+        with pytest.raises(ValueError, match="couplings must be real"):
+            HamiltonianSpec(V + 0.5j)
+        with pytest.raises(ValueError, match="detuning must be real"):
+            HamiltonianSpec(V, np.zeros(3) + 0.5j)
 
     def test_nan_diagonal_rejected(self):
         with pytest.raises(ValueError):

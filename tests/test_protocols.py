@@ -29,7 +29,6 @@ from rydchain.protocols import (
     COEF_CHUNK,
     HyperfinePolicy,
     IdealBackend,
-    PostStep,
     ProtocolKind,
     ProtocolPlan,
     RealisticBackend,
@@ -261,6 +260,16 @@ class TestTransportPlan:
             rho = reduce_to_site(out, n)
             assert fidelity_mixed_single_qubit(ket, rho) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_whole_chain_returns_to_ground_but_the_last_site(self, n, rng):
+        # the last site's reduced state alone does not show sites 1..N-1 back in |0>
+        for _ in range(10):
+            ket = random_state(rng, 2)
+            out = execute(plan_transport(n, ket[0], ket[1]), IdealBackend())
+            expected = np.zeros_like(out)
+            expected[:2] = ket  # |0...0> (x) (alpha|0> + beta|1>), up to one global phase
+            assert abs(np.vdot(expected, out)) == pytest.approx(1.0, abs=1e-12)
+
     def test_classical_bit(self):
         for n in (2, 3, 5):
             out = execute(plan_transport(n, 1.0, 0.0), IdealBackend())
@@ -289,11 +298,7 @@ class TestPlanValidation:
             id="1h-on-two-level",
         ),
         pytest.param((PulseStep(4, G_R, np.pi / 2),), (), id="step-beyond-chain"),
-        pytest.param((), (PostStep(4, G_R, np.pi / 2),), id="post-beyond-chain"),
-        # a pulse runs without the post-step's phase, which was once dropped silently
-        pytest.param((PostStep(1, G_R, np.pi / 2, 1),), (), id="post-step-among-steps"),
-        # a plain pulse among the post-steps once failed in execute with an AttributeError
-        pytest.param((), (PulseStep(1, G_R, np.pi / 2),), id="pulse-among-post-steps"),
+        pytest.param((), (PulseStep(4, G_R, np.pi / 2),), id="post-beyond-chain"),
     ])
     def test_bad_plan_raises_when_built(self, steps, post):
         with pytest.raises(ValueError):
@@ -306,7 +311,7 @@ class TestPlanValidation:
     def test_bad_post_step_raises_when_built(self, site, theta):
         # a post-step was once checked only when execute copied it into a PulseStep
         with pytest.raises(ValueError):
-            PostStep(site, G_R, theta)
+            PulseStep(site, G_R, theta)
 
     @pytest.mark.parametrize("kind", [ProtocolKind.GHZ2, ProtocolKind.DIMER_MPS])
     def test_non_transport_plan_refuses_a_qubit(self, kind):
@@ -316,6 +321,17 @@ class TestPlanValidation:
             ProtocolPlan(kind, 2, TWO, steps, alpha=0.6, beta=0.8)
         with pytest.raises(ValueError, match="alpha/beta"):
             ProtocolPlan(kind, 2, TWO, steps, beta=1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        # blockade_range=1.5 once ran silently as radius 1, and a bool as 0 or 1
+        ("blockade_range", 1.5), ("blockade_range", True), ("n_sites", 3.0), ("n_sites", True),
+    ])
+    def test_integer_field_must_be_an_integer(self, field, value):
+        fields = {"n_sites": 3, "blockade_range": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ProtocolPlan(ProtocolKind.GHZ2, scheme=TWO, steps=(), **fields)
+        plan = ProtocolPlan(ProtocolKind.GHZ2, np.int64(3), TWO, (), blockade_range=np.int64(2))
+        assert type(plan.n_sites) is int and type(plan.blockade_range) is int
 
     @pytest.mark.parametrize("blockade_range", [-1, np.nan])
     def test_negative_blockade_range_raises_when_built(self, blockade_range):
@@ -463,6 +479,11 @@ class TestExecute:
         # a block's (d^n, R) diagonals go in one column at a time
         with pytest.raises(ValueError, match="backend energies"):
             execute(plan_ghz(3, TWO), RealisticBackend(np.zeros(shape), 1.0))
+
+    def test_backend_energies_must_be_real(self):
+        # a complex diagonal once only warned, then ran on its real part
+        with pytest.raises(ValueError, match="energies must be real"):
+            RealisticBackend(np.array([0.0, 0.0, 0.0, 6.9]) + 0.5j, 1.0)
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_backend_omega_must_be_finite_and_positive(self, omega):

@@ -12,7 +12,11 @@ the gathered pulses' 2x2 mixes (:func:`rydchain.protocols.gathered_mixes`),
 so when d K <= COEF_CHUNK one pass's (R, 2, d, K) mixes hold at most
 2 COEF_CHUNK complex entries, 128 KiB.  Once per realization: one
 :func:`rydchain.protocols.execute`, on that realization's column of
-diagonals and row of mixes, which runs only its pulse loop.
+diagonals and row of mixes, which runs only its pulse loop.  A GHZ cell
+scores its final states at the target's two basis states only
+(:func:`rydchain.targets.ghz_target` returns its support), a dimer cell
+against the whole chain, and a transport cell through the last site's
+reduced state.
 execute is the one way a pulse runs, its pulse kernel does not take a
 realization axis, and perfbench's traced run counts one execute per
 realization.  One position sample is held fixed for the whole pulse
@@ -25,7 +29,6 @@ independent of worker count and identical across reruns.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,24 +112,27 @@ class SweepRecord:
     error: str | None = None  # why the cell is a NaN row; not written to the CSV
 
 
-def _target_state(spec: SweepSpec, plan: ProtocolPlan) -> np.ndarray | None:
+def _target_state(spec: SweepSpec, plan: ProtocolPlan) -> tuple | None:
+    """(support, coefficients): the target's amplitudes ``coefficients`` at
+    the basis states ``support`` indexes, all others zero; None for transport."""
     if spec.protocol is ProtocolKind.TRANSPORT:
         return None  # compared through the reduced final-site state
     if spec.protocol is ProtocolKind.DIMER_MPS:
-        return dimer_target_direct(plan.n_sites, spec.z, spec.blockade_range)
+        return slice(None), dimer_target_direct(plan.n_sites, spec.z, spec.blockade_range)
     return ghz_target(plan.n_sites, plan.scheme)
 
 
 def _block(
-    spec: SweepSpec, grid_index: int, indices: range, plan: ProtocolPlan, target: np.ndarray | None
+    spec: SweepSpec, grid_index: int, indices: range, plan: ProtocolPlan, target: tuple | None
 ) -> np.ndarray:
     """Fidelities of the realizations ``indices`` of one cell.  Every stage
     but the pulses runs once over the block's stack: seed keys (R, 2),
     positions (R, n, 3), couplings (R, n, n), one checked HamiltonianSpec,
-    diagonals (d^n, R) and the scores of the final states (d^n, R).  The
-    gathered pulses' mixes come from one pass per max(1, COEF_CHUNK // (d K))
-    realizations, K the plan's gathered blocks; the pulses run through one
-    ``execute`` per realization, on its column of diagonals and its row of mixes."""
+    diagonals (d^n, R) and the scores of the final states (d^n, R), read at
+    the target's support.  The gathered pulses' mixes come from one pass per
+    max(1, COEF_CHUNK // (d K)) realizations, K the plan's gathered blocks;
+    the pulses run through one ``execute`` per realization, on its column of
+    diagonals and its row of mixes."""
     n, ratio = plan.n_sites, spec.grid[grid_index]
     runs = len(indices)
     if spec.disorder.is_none:  # zero widths draw nothing, so no seed is hashed
@@ -154,7 +160,8 @@ def _block(
     if target is None:
         rho = reduce_to_site(finals, n)
         return fidelity_mixed_single_qubit(np.array([spec.alpha, spec.beta]), rho)
-    return fidelity_pure(target, finals)
+    support, coefficients = target
+    return fidelity_pure(coefficients, finals[support])
 
 
 def _cell(args) -> SweepRecord:
@@ -202,6 +209,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
              for n in spec.n_list]
     cells = [(spec, plan, gi) for plan in plans for gi in range(len(spec.grid))]
     if workers > 1 and len(cells) > 1:
+        # imported here: a single-process sweep never holds the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_cell, cells))
     return list(map(_cell, cells))

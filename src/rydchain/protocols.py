@@ -168,6 +168,8 @@ def mps_area_schedule(n_sites: int, z: float, blockade_range: int = 1) -> np.nda
     for N <= 1000, 1e-3 <= |z| <= 1e15, and under 1e-6 of the 1e-12 floor for
     |z| <= 1e-3); the tolerance is that bound, at least 1e-12.
     """
+    n_sites = check_integer(n_sites, "n_sites")
+    blockade_range = check_integer(blockade_range, "blockade_range")
     if blockade_range < 1:
         raise ValueError("blockade_range must be >= 1")
     if n_sites < 1:
@@ -219,6 +221,8 @@ def mps_area_schedule_polynomial(n_sites: int, z: float, blockade_range: int = 1
     lambda_j are the roots of lambda^(R+1) = lambda^R + z^2 and the A_j
     solve the Vandermonde boundary system q_0 = ... = q_{-R} = 1.
     """
+    n_sites = check_integer(n_sites, "n_sites")
+    blockade_range = check_integer(blockade_range, "blockade_range")
     if blockade_range < 1:
         raise ValueError("blockade_range must be >= 1")
     a = z * z

@@ -18,8 +18,11 @@ from .statekit import (
 FIDELITY_TOL = 1e-9
 
 
-def ghz_target(n_sites: int, scheme: LevelScheme) -> np.ndarray:
-    """(|0x0x...> + |x0x0...>)/sqrt(2), x the excited level of the scheme.
+def ghz_target(n_sites: int, scheme: LevelScheme) -> tuple[np.ndarray, np.ndarray]:
+    """(|0x0x...> + |x0x0...>)/sqrt(2), x the excited level of the scheme, as
+    its support: (indices, amplitudes), the two basis indices in increasing
+    order and their two amplitudes.  Every other amplitude is zero, so a
+    fidelity reads only ``final[indices]``: no d^n target is built.
 
     Two-level chains store the pattern in the Rydberg level, three-level
     chains in the hyperfine level.  At odd lengths the two components differ
@@ -28,14 +31,13 @@ def ghz_target(n_sites: int, scheme: LevelScheme) -> np.ndarray:
     """
     if n_sites < 2:
         raise ValueError("GHZ pattern needs at least 2 sites")
-    amp = np.zeros(require_capacity(n_sites, scheme.local_dim), dtype=np.complex128)
-    x = HYPERFINE if scheme is LevelScheme.THREE_LEVEL else RYDBERG
     dim = scheme.local_dim
+    require_capacity(n_sites, dim)  # no chain state this long exists to score
+    x = HYPERFINE if scheme is LevelScheme.THREE_LEVEL else RYDBERG
     a = [x if k % 2 else 0 for k in range(n_sites)]  # 0 x 0 x ...
-    b = [0 if k % 2 else x for k in range(n_sites)]
-    amp[encode_occupations(b, dim)] = 1 / np.sqrt(2)  # x 0 x 0 ...
-    amp[encode_occupations(a, dim)] = 1 / np.sqrt(2)
-    return amp
+    b = [0 if k % 2 else x for k in range(n_sites)]  # x 0 x 0 ...
+    support = np.array([encode_occupations(a, dim), encode_occupations(b, dim)])
+    return support, np.full(2, 1 / np.sqrt(2), dtype=np.complex128)
 
 
 def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> np.ndarray:
@@ -67,8 +69,9 @@ def dimer_target_direct(n_sites: int, z: float, blockade_range: int = 1) -> np.n
 
 
 def fidelity_pure(target: np.ndarray, final: np.ndarray):
-    """|<target|final>|^2 of two amplitude arrays over the same chain.  A
-    (d^n, R) stack of final states gives an (R,) array, column by column;
+    """|<target|final>|^2 of two amplitude arrays over the same basis states
+    (a whole chain, or a target's support and ``final`` read there).  A
+    (len, R) stack of final states gives an (R,) array, column by column;
     each column is held to the clip tolerance on its own."""
     if len(target) != len(final):
         raise ValueError("state dimensions differ")

@@ -25,7 +25,7 @@ from rydchain.protocols import ProtocolKind, RealisticBackend, execute
 from rydchain.statekit import (
     GROUND, RYDBERG, basis_digits, check_norm, level_rows, reduce_to_site, site_view,
 )
-from rydchain.targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure
+from rydchain.targets import dimer_target_direct, fidelity_mixed_single_qubit, fidelity_pure, ghz_target
 
 
 def execute_full_width(plan, backend, amplitudes) -> np.ndarray:
@@ -106,10 +106,24 @@ def ideal_on_array_once(amp, n_sites, local_dim, step, radius):
     rotate_pairs_once(amp, n_sites, local_dim, step, c, s, c, 1)
 
 
+def scatter_support(support, coefficients, dim) -> np.ndarray:
+    """The dense (dim,) target that is ``coefficients`` at the basis states
+    ``support`` indexes and zero everywhere else."""
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[support] = coefficients
+    return amp
+
+
+def ghz_dense(n_sites, scheme) -> np.ndarray:
+    """:func:`rydchain.targets.ghz_target` as a whole-chain amplitude array."""
+    return scatter_support(*ghz_target(n_sites, scheme), scheme.local_dim**n_sites)
+
+
 def sweep_cell_by_loop(spec, plan, grid_index) -> SweepRecord:
     """One sweep cell, one realization at a time: each realization samples
     one (n, 3) configuration from its own seed, builds and checks its own
-    couplings and diagonal, runs its pulses and scores its one final state.
+    couplings and diagonal, runs its pulses and scores its one final state,
+    a pure target as a dense array over the whole chain.
 
     Reference for :func:`rydchain.montecarlo.run_sweep`, which runs every
     stage but the pulses once over a block of realizations; this is the
@@ -118,6 +132,8 @@ def sweep_cell_by_loop(spec, plan, grid_index) -> SweepRecord:
     n, ratio = plan.n_sites, spec.grid[grid_index]
     runs = 1 if spec.disorder.is_none else spec.realizations
     target = _target_state(spec, plan)
+    if target is not None:
+        target = scatter_support(*target, plan.scheme.local_dim**n)
     values = []
     for i in range(runs):
         seed = realization_seed(spec.master_seed, n, grid_index, i)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import chain_hamiltonian, random_state, realistic_backend
+from oracles import ghz_dense
 from rydchain.analytics import (
     estimate_n_max,
     fit_exponential_decay,
@@ -40,7 +41,6 @@ from rydchain.targets import (
     dimer_target_direct,
     fidelity_mixed_single_qubit,
     fidelity_pure,
-    ghz_target,
 )
 
 TWO = LevelScheme.TWO_LEVEL
@@ -67,7 +67,7 @@ def test_criterion_01_two_atom_ghz_oracle():
     worst = 0.0
     for ratio in grid:
         out = execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, ratio), 1.0))
-        f = fidelity_pure(ghz_target(2, TWO), out)
+        f = fidelity_pure(ghz_dense(2, TWO), out)
         worst = max(worst, abs(f - ghz_fidelity_two_atoms(ratio, 1.0)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
@@ -102,12 +102,12 @@ def test_criterion_02_transport_coefficient_oracle():
 
 def test_criterion_03_fidelity_limits():
     weak = execute(plan_ghz(2, THREE), realistic_backend(chain_hamiltonian(2, 1e-4), 1.0, THREE))
-    f_weak = fidelity_pure(ghz_target(2, THREE), weak)
+    f_weak = fidelity_pure(ghz_dense(2, THREE), weak)
     ok_weak = abs(f_weak - 0.25) < 1e-3
 
     strong = [
         fidelity_pure(
-            ghz_target(n, THREE),
+            ghz_dense(n, THREE),
             execute(plan_ghz(n, THREE), realistic_backend(chain_hamiltonian(n, 1e4), 1.0, THREE)),
         )
         for n in (2, 4)
@@ -115,7 +115,7 @@ def test_criterion_03_fidelity_limits():
     ok_strong = all(f >= 0.999 for f in strong)
 
     two_level = fidelity_pure(
-        ghz_target(4, TWO),
+        ghz_dense(4, TWO),
         execute(plan_ghz(4, TWO), realistic_backend(chain_hamiltonian(4, 1e4), 1.0)),
     )
     ok_two = two_level < 0.1
@@ -130,7 +130,7 @@ def test_criterion_04_ideal_backend_exactness():
     start = time.perf_counter()
     worst = 1.0
     for n in (2, 4, 6, 8):  # alternating pattern closes on even lengths
-        f = fidelity_pure(ghz_target(n, THREE), execute(plan_ghz(n, THREE), IdealBackend()))
+        f = fidelity_pure(ghz_dense(n, THREE), execute(plan_ghz(n, THREE), IdealBackend()))
         worst = min(worst, f)
     for z in (0.1, 1.0, 10.0):
         for r in (1, 2):

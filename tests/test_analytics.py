@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import chain_hamiltonian, realistic_backend
-from oracles import leftmost_fidelity_peak, reference_decay_fit, rk_overlap_dense
+from oracles import ghz_dense, leftmost_fidelity_peak, reference_decay_fit, rk_overlap_dense
 from rydchain import analytics
 from rydchain.analytics import (
     estimate_n_max,
@@ -30,7 +30,7 @@ from rydchain.protocols import (
     plan_dimer_mps,
 )
 from rydchain.statekit import LevelScheme
-from rydchain.targets import fidelity_pure, ghz_target
+from rydchain.targets import fidelity_pure
 
 TWO = LevelScheme.TWO_LEVEL
 
@@ -116,7 +116,7 @@ class TestGhzFidelityCurve:
     def test_matches_simulation_on_grid(self):
         for ratio in np.linspace(0.1, 100, 25):
             out = execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, ratio), 1.0))
-            f = fidelity_pure(ghz_target(2, TWO), out)
+            f = fidelity_pure(ghz_dense(2, TWO), out)
             assert abs(f - ghz_fidelity_two_atoms(ratio, 1.0)) < 1e-10
 
     def test_leftmost_peak_location(self):

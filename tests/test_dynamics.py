@@ -16,6 +16,7 @@ from rydchain.dynamics import (
     InteractionRange,
     PulseStep,
     Transition,
+    _half_tables,
     _ideal_on_array,
     _pulse_on_array,
     _rotate_pairs,
@@ -45,10 +46,9 @@ class TestPulseStep:
         assert half_pi_pulse(1).theta == np.pi / 4
 
     def test_site_and_range_validation(self):
-        with pytest.raises(ValueError):
-            PulseStep(0, G_R, 0.1)
-        with pytest.raises(ValueError):
-            PulseStep(1, G_R, 4.0)
+        for site, theta in [(0, 0.1), (0, np.pi / 2), (1, 4.0), (2, 4.0)]:
+            with pytest.raises(ValueError):
+                PulseStep(site, G_R, theta)
 
     @pytest.mark.parametrize("site", [True, 2.0, np.float64(1.0)])
     def test_site_must_be_an_integer(self, site):
@@ -400,6 +400,13 @@ def test_stacked_diagonal_holds_each_chain_in_its_column(rng, n, local_dim):
     for r in range(3):
         one = interaction_diagonal(HamiltonianSpec(stack[r], detuning[r]), local_dim)
         assert np.abs(e[:, r] - one).max() <= 1e-12 * np.abs(one).max()
+
+
+def test_diagonal_tables_kept_for_one_chain_length():
+    # a sweep visits one length at a time; every earlier length's tables once stayed cached
+    for n in (5, 6):
+        interaction_diagonal(chain_hamiltonian(n, 6.9), 2)
+    assert _half_tables.cache_info().currsize == 1
 
 
 class TestFullHamiltonian:

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import sweep_cell_by_loop, two_atom_disorder_average
 from rydchain import montecarlo
 from rydchain.analytics import ghz_fidelity_two_atoms
-from rydchain.dynamics import InteractionRange
+from rydchain.dynamics import InteractionRange, _half_tables
 from rydchain.lattice import DisorderSpec, disorder_preset
 from rydchain.montecarlo import BATCH_AMPLITUDES, SweepSpec, run_sweep
 from rydchain.protocols import COEF_CHUNK, ProtocolKind, plan_for
@@ -138,6 +141,33 @@ class TestRunSweep:
         assert np.isnan(rec.mean_fidelity)
         assert "exceeds the cap" in rec.error
         assert peak < 5e6
+
+    def test_large_ghz_cell_holds_no_dense_target(self):
+        # the target was once a dense 2^18 complex array, 4 MiB beside the
+        # 4 MiB state: a cold cell then peaked at 14.4 MiB
+        spec = make_spec(n_list=(18,), grid=(15.5,), disorder=disorder_preset("iso"), realizations=1)
+        _half_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            rec = montecarlo._cell((spec, plan_for(ProtocolKind.GHZ2, 18), 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.error is None
+        assert peak <= 11 * 2**20
+
+    def test_single_process_sweep_loads_no_process_pool(self):
+        # the pool's modules were once imported with montecarlo, whether or not a sweep used them
+        code = (
+            "import sys, rydchain.cli\n"
+            "from rydchain.montecarlo import SweepSpec, run_sweep\n"
+            "from rydchain.protocols import ProtocolKind\n"
+            "run_sweep(SweepSpec(ProtocolKind.GHZ2, (2, 3), (6.9,), 'iso', 2, 7), workers=1)\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(montecarlo.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_bad_chain_length_raises_before_any_cell_runs(self, execute_calls):
         with pytest.raises(ValueError, match="at least 2 sites"):

@@ -5,11 +5,18 @@ import numpy as np
 import pytest
 
 from conftest import chain_hamiltonian, random_state, realistic_backend
-from oracles import dimer_target_by_digits, dimer_target_mps
+from oracles import dimer_target_by_digits, dimer_target_mps, ghz_dense
 from rydchain.analytics import two_atom_coefficients
 from rydchain.errors import CapacityError, NumericalError
 from rydchain.protocols import execute, plan_transport
-from rydchain.statekit import LevelScheme, basis_digits, reduce_to_site
+from rydchain.statekit import (
+    HYPERFINE,
+    RYDBERG,
+    LevelScheme,
+    basis_digits,
+    encode_occupations,
+    reduce_to_site,
+)
 from rydchain.targets import (
     FIDELITY_TOL,
     dimer_target_direct,
@@ -24,27 +31,39 @@ THREE = LevelScheme.THREE_LEVEL
 
 class TestGhzTarget:
     def test_two_sites_three_level(self):
-        t = ghz_target(2, THREE)
+        t = ghz_dense(2, THREE)
         # |0 1~> at index 2, |1~ 0> at index 6
         assert t[2] == pytest.approx(1 / np.sqrt(2))
         assert t[6] == pytest.approx(1 / np.sqrt(2))
         assert np.count_nonzero(t) == 2
 
     def test_four_sites_two_components(self):
-        t = ghz_target(4, TWO)
+        t = ghz_dense(4, TWO)
         nz = np.flatnonzero(t)
         assert list(nz) == [0b0101, 0b1010]
         assert np.allclose(t[nz], 1 / np.sqrt(2))
 
     def test_normalized(self):
-        assert np.linalg.norm(ghz_target(6, THREE)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(ghz_dense(6, THREE)) == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_length_is_quiet(self):
         # an odd length once warned on every call, and the sweep filtered it out
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t = ghz_target(3, TWO)
+            t = ghz_dense(3, TWO)
         assert list(np.flatnonzero(t)) == [0b010, 0b101]
+
+    @pytest.mark.parametrize("scheme", [TWO, THREE])
+    def test_support_scatters_to_the_dense_target(self, scheme):
+        # ghz_target once returned this d^n array itself
+        x = HYPERFINE if scheme is THREE else RYDBERG
+        for n in range(2, 13):
+            amp = np.zeros(scheme.local_dim**n, dtype=np.complex128)
+            amp[encode_occupations([0 if k % 2 else x for k in range(n)], scheme.local_dim)] = 1 / np.sqrt(2)
+            amp[encode_occupations([x if k % 2 else 0 for k in range(n)], scheme.local_dim)] = 1 / np.sqrt(2)
+            assert np.array_equal(ghz_dense(n, scheme), amp)
+            support, coefficients = ghz_target(n, scheme)
+            assert support[0] < support[1] and coefficients.shape == (2,)
 
     def test_capacity_checked_before_allocation(self):
         with pytest.raises(CapacityError, match="exceeds the cap"):
@@ -192,7 +211,7 @@ class TestFidelityPure:
         ratio = 11.3
         out = execute(plan_ghz(2, TWO), realistic_backend(chain_hamiltonian(2, ratio), 1.0))
         gamma = two_atom_coefficients(ratio, 1.0).gamma
-        f = fidelity_pure(ghz_target(2, TWO), out)
+        f = fidelity_pure(ghz_dense(2, TWO), out)
         assert f == pytest.approx(abs(1 + gamma) ** 2 / 4, abs=1e-12)
 
 

@@ -6,14 +6,17 @@ REV (a commit, branch or tag) is checked out into a temporary ``git
 worktree``.  The fixed list of sweeps below runs there and in this working
 tree, uncommitted changes included, each at ``--workers 1`` and ``2``, with
 BLAS pinned to one thread.  One line per sweep and worker count gives both
-CSVs' sha256 digests.  Exits 1 if any pair differs, 0 if every pair matches;
-the worktree is removed either way.  A run takes about 10 s on two cores.
+CSVs' sha256 digests; under a pair that differs, one more line gives how
+many rows differ and the largest absolute difference over the float
+columns.  Exits 1 if any pair differs, 0 if every pair matches; the
+worktree is removed either way.  A run takes about 10 s on two cores.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-from test_golden import CASES  # noqa: E402  (the golden sweeps, kept in one place)
+from test_golden import CASES, FLOAT_COLUMNS, read_table  # noqa: E402  (kept in one place)
 
 TRANSPORT_N = ",".join(map(str, range(2, 15)))  # N = 2 (mod 4) included
 
@@ -35,7 +38,7 @@ SWEEPS = {
     " --range nn --alpha 0.6 --realizations 20 --seed 5",
     "transport_none": f"--protocol transport --n {TRANSPORT_N} --grid 4:16:4 --disorder none"
     " --alpha 0.28 --beta 0.96",
-    "ghz3_iso": "--protocol ghz3 --n 2,3,4,5,6,7,8,9,10,11 --grid 6.9,15.5 --disorder iso"
+    "ghz3_long_iso": "--protocol ghz3 --n 2,3,4,5,6,7,8,9,10,11 --grid 6.9,15.5 --disorder iso"
     " --realizations 8 --seed 5",
     "ghz2_wide_nn": "--protocol ghz2 --n 13,14 --grid 6.9 --disorder iso --range nn"
     " --realizations 8 --seed 5",
@@ -70,6 +73,27 @@ def run_sweeps(tree: Path, out: Path, workers: str) -> dict[str, str]:
             for name in SWEEPS}
 
 
+def float_gap(a: str, b: str) -> float:
+    """|a - b| of two CSV fields; a NaN against a number is infinitely far."""
+    if a == b:
+        return 0.0
+    gap = abs(float(a) - float(b))
+    return math.inf if math.isnan(gap) else gap
+
+
+def row_differences(a: Path, b: Path) -> str:
+    """How many rows of two sweep CSVs differ, and the largest absolute
+    difference over their float columns."""
+    header, rows = read_table(a)
+    other_header, other_rows = read_table(b)
+    if header != other_header or len(rows) != len(other_rows):
+        return "headers or row counts differ"
+    floats = [i for i, column in enumerate(header) if column in FLOAT_COLUMNS]
+    changed = [(r, s) for r, s in zip(rows, other_rows) if r != s]
+    worst = max((float_gap(r[i], s[i]) for r, s in changed for i in floats), default=0.0)
+    return f"{len(changed)} of {len(rows)} rows differ, largest float difference {worst:.1e}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -89,6 +113,9 @@ def main(argv: list[str]) -> int:
                     differ += not same
                     print(f"{'same' if same else 'DIFF'}  workers={workers}  {name:20}"
                           f"  {at_rev[name]}  {here[name]}")
+                    if not same:
+                        print("      " + row_differences(Path(tmp) / f"rev-{workers}" / f"{name}.csv",
+                                                         Path(tmp) / f"tree-{workers}" / f"{name}.csv"))
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(worktree)], check=True)
